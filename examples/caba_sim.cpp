@@ -1,21 +1,25 @@
 /**
  * @file
- * caba_sim — command-line front end for the simulator, in the spirit of
+ * caba_cli — command-line front end for the simulator, in the spirit of
  * a GPGPU-Sim run script: pick an app, a design, an algorithm and a few
  * hardware knobs, get the full statistics dump.
  *
  * Usage:
- *   caba_sim [--app NAME] [--design base|hw-mem|hw|caba|ideal]
+ *   caba_cli [--app NAME] [--design base|hw-mem|hw|caba|ideal]
  *            [--algo bdi|fpc|cpack|best] [--bw SCALE] [--scale F]
- *            [--md-kb N] [--l1-tags N] [--l2-tags N] [--verify]
- *            [--memoize] [--prefetch] [--stats] [--list]
+ *            [--md-kb N] [--warps N] [--l1-tags N] [--l2-tags N]
+ *            [--verify] [--memoize] [--prefetch] [--stats] [--list]
+ *
+ * Numbers are parsed with the caba_bench rules (common/parse.h); a bad
+ * value, name or flag prints the usage text and exits 1.
  */
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "common/env.h"
+#include "common/parse.h"
 #include "common/table.h"
 #include "harness/runner.h"
 
@@ -24,19 +28,22 @@ using namespace caba;
 namespace {
 
 [[noreturn]] void
-usage()
+usage(const std::string &error)
 {
-    std::printf(
-        "usage: caba_sim [options]\n"
+    std::fprintf(stderr, "caba_cli: %s\n\n", error.c_str());
+    std::fprintf(stderr,
+        "usage: caba_cli [options]\n"
         "  --app NAME      application (default PVC); --list to see all\n"
         "  --design D      base | hw-mem | hw | caba | ideal\n"
         "  --algo A        bdi | fpc | cpack | best (default bdi)\n"
         "  --bw F          off-chip bandwidth scale (default 1.0)\n"
         "  --scale F       loop-trip multiplier (default 1.0)\n"
-        "  --md-kb N       MD cache capacity in KB (default 8)\n"
-        "  --warps N       cap resident warps per SM (default: occupancy)\n"
-        "  --l1-tags N     L1 compressed-cache tag factor (default 1)\n"
-        "  --l2-tags N     L2 compressed-cache tag factor (default 1)\n"
+        "  --md-kb N       MD cache capacity in KB, a power of two\n"
+        "                  (default 8)\n"
+        "  --warps N       cap resident warps per SM (default 0:\n"
+        "                  occupancy)\n"
+        "  --l1-tags N     L1 compressed-cache tag factor, 1-64 (default 1)\n"
+        "  --l2-tags N     L2 compressed-cache tag factor, 1-64 (default 1)\n"
         "  --verify        round-trip-check every compressed line\n"
         "  --memoize       enable Section 7.1 memoization assist warps\n"
         "  --prefetch      enable Section 7.2 prefetch assist warps\n"
@@ -53,7 +60,7 @@ parseAlgo(const std::string &s)
     if (s == "fpc") return Algorithm::Fpc;
     if (s == "cpack") return Algorithm::CPack;
     if (s == "best") return Algorithm::BestOfAll;
-    usage();
+    usage("unknown algorithm '" + s + "'");
 }
 
 } // namespace
@@ -72,20 +79,39 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         auto next = [&]() -> std::string {
             if (i + 1 >= argc)
-                usage();
+                usage("flag " + arg + " needs a value");
             return argv[++i];
+        };
+        auto real = [&]() {
+            const std::string v = next();
+            double x = 0.0;
+            if (!parse::finitePositiveReal(v, &x))
+                usage(arg + " needs a finite positive number, got '" + v +
+                      "'");
+            return x;
+        };
+        auto integer = [&](long min, long max) {
+            const std::string v = next();
+            long n = 0;
+            if (!parse::boundedInt(v, min, max, &n))
+                usage(arg + " needs an integer in [" + std::to_string(min) +
+                      ", " + std::to_string(max) + "], got '" + v + "'");
+            return static_cast<int>(n);
         };
         if (arg == "--app") app_name = next();
         else if (arg == "--design") design_name = next();
         else if (arg == "--algo") algo = parseAlgo(next());
-        else if (arg == "--bw") opts.bw_scale = std::atof(next().c_str());
-        else if (arg == "--scale") opts.scale = std::atof(next().c_str());
-        else if (arg == "--md-kb")
-            opts.md_cache_kb = std::atoi(next().c_str());
-        else if (arg == "--warps")
-            opts.max_warps = std::atoi(next().c_str());
-        else if (arg == "--l1-tags") l1_tags = std::atoi(next().c_str());
-        else if (arg == "--l2-tags") l2_tags = std::atoi(next().c_str());
+        else if (arg == "--bw") opts.bw_scale = real();
+        else if (arg == "--scale") opts.scale = real();
+        else if (arg == "--md-kb") {
+            // The MD cache needs a power-of-two set count, and the byte
+            // size must fit an int.
+            opts.md_cache_kb = integer(1, 1 << 20);
+            if ((opts.md_cache_kb & (opts.md_cache_kb - 1)) != 0)
+                usage("--md-kb needs a power of two");
+        } else if (arg == "--warps") opts.max_warps = integer(0, INT_MAX);
+        else if (arg == "--l1-tags") l1_tags = integer(1, 64);
+        else if (arg == "--l2-tags") l2_tags = integer(1, 64);
         else if (arg == "--verify") opts.verify = true;
         else if (arg == "--memoize") opts.extras.memoize = true;
         else if (arg == "--prefetch") opts.extras.prefetch = true;
@@ -104,7 +130,7 @@ main(int argc, char **argv)
             env::printHelp(stdout);
             return 0;
         } else {
-            usage();
+            usage("unknown flag '" + arg + "'");
         }
     }
 
@@ -114,11 +140,14 @@ main(int argc, char **argv)
     else if (design_name == "hw") design = DesignConfig::hw(algo);
     else if (design_name == "caba") design = DesignConfig::caba(algo);
     else if (design_name == "ideal") design = DesignConfig::ideal(algo);
-    else usage();
+    else usage("unknown design '" + design_name + "'");
     design.l1_tag_factor = l1_tags;
     design.l2_tag_factor = l2_tags;
 
-    const AppDescriptor &app = findApp(app_name);
+    const AppDescriptor *found = lookupApp(app_name);
+    if (found == nullptr)
+        usage("unknown app '" + app_name + "' (--list shows the pool)");
+    const AppDescriptor &app = *found;
     if (app.memo_hit_rate > 0.0 && opts.extras.memoize)
         opts.extras.memo_hit_rate = app.memo_hit_rate;
 

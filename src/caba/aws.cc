@@ -89,13 +89,4 @@ AssistWarpStore::profileRoutine()
     return it->second;
 }
 
-int
-AssistWarpStore::storedInstructions() const
-{
-    int total = 0;
-    for (const auto &[key, code] : store_)
-        total += static_cast<int>(code.size());
-    return total;
-}
-
 } // namespace caba

@@ -51,9 +51,6 @@ class AssistWarpStore
      *  (the profiling generalization of the CABA framework paper). */
     const std::vector<AssistInstr> &profileRoutine();
 
-    /** Total instructions resident in the store (hardware sizing stat). */
-    int storedInstructions() const;
-
     /** Number of distinct subroutines (SR.IDs in use). */
     int numSubroutines() const { return static_cast<int>(store_.size()); }
 

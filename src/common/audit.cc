@@ -1,24 +1,55 @@
 #include "common/audit.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
+#include <climits>
 #include <sstream>
 #include <vector>
 
 #include "common/env.h"
 #include "common/log.h"
+#include "common/parse.h"
 
 namespace caba {
 
 namespace {
 
+/** Applies the non-empty @p spec to @p *cfg; false (and @p *cfg
+ *  untouched) when it names no level or a non-positive period. */
+bool
+parseSpec(const std::string &s, AuditConfig *cfg)
+{
+    if (s == "off" || s == "0" || s == "none") {
+        cfg->level = AuditLevel::Off;
+    } else if (s == "end" || s == "1") {
+        cfg->level = AuditLevel::EndOfRun;
+    } else if (s == "full") {
+        cfg->level = AuditLevel::Periodic;
+    } else {
+        long period = 0;
+        if (!parse::boundedInt(s, 1, LONG_MAX, &period))
+            return false;
+        cfg->level = AuditLevel::Periodic;
+        cfg->period = static_cast<Cycle>(period);
+    }
+    return true;
+}
+
 /** CABA_AUDIT, read once (sweep workers construct GpuSystems from many
- *  threads; getenv after startup is not reliably thread-safe). */
+ *  threads; getenv after startup is not reliably thread-safe). A spec
+ *  parseSpec() rejects is dropped with a warning. */
 const char *
 auditEnv()
 {
-    static const char *const spec = env::raw("CABA_AUDIT");
+    static const char *const spec = [] {
+        const char *s = env::raw("CABA_AUDIT");
+        AuditConfig probe;
+        if (s != nullptr && *s != '\0' && !parseSpec(s, &probe)) {
+            env::warnRejected("CABA_AUDIT", s,
+                              "off|end|full|<positive period>");
+            return static_cast<const char *>(nullptr);
+        }
+        return s;
+    }();
     return spec;
 }
 
@@ -27,30 +58,9 @@ auditEnv()
 AuditConfig
 AuditConfig::applySpec(AuditConfig base, const char *spec)
 {
-    if (!spec || !*spec)
-        return base;
-    const std::string s(spec);
-    if (s == "off" || s == "0" || s == "none") {
-        base.level = AuditLevel::Off;
-        return base;
-    }
-    if (s == "end" || s == "1") {
-        base.level = AuditLevel::EndOfRun;
-        return base;
-    }
-    if (s == "full") {
-        base.level = AuditLevel::Periodic;
-        return base;
-    }
-    bool numeric = true;
-    for (const char c : s)
-        numeric = numeric && std::isdigit(static_cast<unsigned char>(c));
-    if (numeric) {
-        base.level = AuditLevel::Periodic;
-        base.period = std::strtoull(s.c_str(), nullptr, 10);
-        CABA_CHECK(base.period > 0, "CABA_AUDIT period must be positive");
-    }
-    return base;    // unknown spec: keep the configured level
+    if (spec != nullptr && *spec != '\0')
+        parseSpec(spec, &base);  // unknown spec: keep the configured level
+    return base;
 }
 
 AuditConfig

@@ -59,8 +59,8 @@ struct AuditConfig
     /** Applies the CABA_AUDIT environment override (read once). */
     static AuditConfig resolve(AuditConfig base);
 
-    /** Applies one override spec ("off", "end", "full", "<N>") to
-     *  @p base. Exposed for tests; unknown specs leave @p base alone. */
+    /** Applies one override spec ("off", "end", "full", "<N>" with
+     *  N > 0) to @p base. Unknown specs leave @p base alone. */
     static AuditConfig applySpec(AuditConfig base, const char *spec);
 };
 

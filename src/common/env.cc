@@ -1,10 +1,12 @@
 #include "common/env.h"
 
 #include <array>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
 #include "common/log.h"
+#include "common/parse.h"
 
 namespace caba {
 namespace env {
@@ -64,12 +66,23 @@ const char *
 typeName(Type t)
 {
     switch (t) {
-      case Type::Flag: return "flag";
       case Type::Int: return "int";
       case Type::Real: return "real";
       case Type::Str: return "string";
     }
     return "?";
+}
+
+/** One warning per variable and process (CABA_JOBS is re-read per
+ *  sweep; repeating the same complaint would only add noise). */
+std::array<std::atomic<bool>, kVars.size()> g_warned{};
+
+/** The set, non-empty value of @p name, or nullptr (empty = unset). */
+const char *
+valueOf(const char *name)
+{
+    const char *v = raw(name);
+    return v != nullptr && *v != '\0' ? v : nullptr;
 }
 
 } // namespace
@@ -87,27 +100,36 @@ raw(const char *name)
     return std::getenv(kVars[indexOf(name)].name);
 }
 
-bool
-flagSet(const char *name)
+void
+warnRejected(const char *name, const char *value, const char *want)
 {
-    return raw(name) != nullptr;
+    const std::size_t i = indexOf(name);
+    if (g_warned[i].exchange(true))
+        return;
+    std::fprintf(stderr,
+                 "warning: ignoring %s='%s' (need %s); using the default "
+                 "(%s)\n",
+                 name, value, want, kVars[i].fallback);
 }
 
 int
 intOr(const char *name, int fallback)
 {
-    const char *v = raw(name);
-    return v ? std::atoi(v) : fallback;
+    const char *v = valueOf(name);
+    int n = fallback;
+    if (v != nullptr && !parse::intInRange(v, 0, &n))
+        warnRejected(name, v, "a non-negative integer");
+    return n;
 }
 
 int
 positiveIntOr(const char *name, int fallback)
 {
-    const char *v = raw(name);
-    if (!v)
-        return fallback;
-    const int parsed = std::atoi(v);
-    return parsed > 0 ? parsed : fallback;
+    const char *v = valueOf(name);
+    int n = fallback;
+    if (v != nullptr && !parse::intInRange(v, 1, &n))
+        warnRejected(name, v, "a positive integer");
+    return n;
 }
 
 const char *
@@ -120,11 +142,11 @@ strOr(const char *name, const char *fallback)
 double
 positiveRealOr(const char *name, double fallback)
 {
-    const char *v = raw(name);
-    if (!v)
-        return fallback;
-    const double parsed = std::atof(v);
-    return parsed > 0.0 ? parsed : fallback;
+    const char *v = valueOf(name);
+    double x = fallback;
+    if (v != nullptr && !parse::finitePositiveReal(v, &x))
+        warnRejected(name, v, "a finite positive number");
+    return x;
 }
 
 void

@@ -7,6 +7,11 @@
  * prints the registry. caba-lint (tools/lint/) flags any direct getenv
  * call outside src/common/env.cc.
  *
+ * Numbers are parsed with the strict rules of common/parse.h, the same
+ * ones the command-line flags use. A value those rules reject (garbage,
+ * overflow, out of range) is ignored: the accessor returns its fallback
+ * and prints one stderr warning per process naming the variable.
+ *
  * raw() reads the live environment: the sweep tests re-point CABA_JOBS
  * between Sweep constructions. Consumers that run on worker threads
  * (CABA_SCALE, CABA_AUDIT) cache the first read in a magic static at
@@ -24,7 +29,6 @@ namespace env {
 
 /** How a variable's raw string is interpreted at its point of use. */
 enum class Type {
-    Flag,   ///< presence alone is the signal; the value is ignored
     Int,    ///< decimal integer
     Real,   ///< decimal floating point
     Str,    ///< free-form string (path, spec, comma list)
@@ -49,20 +53,25 @@ const std::vector<Var> &registry();
  */
 const char *raw(const char *name);
 
-/** True when the variable is present in the environment (Flag vars). */
-bool flagSet(const char *name);
-
-/** Parsed integer (any value, including 0), or @p fallback when unset. */
+/** Parsed non-negative integer, or @p fallback when unset or rejected. */
 int intOr(const char *name, int fallback);
 
-/** Parsed positive integer, or @p fallback when unset/non-positive. */
+/** Parsed positive integer, or @p fallback when unset or rejected. */
 int positiveIntOr(const char *name, int fallback);
 
 /** Raw string value, or @p fallback when unset. */
 const char *strOr(const char *name, const char *fallback);
 
-/** Parsed positive real, or @p fallback when unset/non-positive. */
+/** Parsed finite positive real, or @p fallback when unset or rejected. */
 double positiveRealOr(const char *name, double fallback);
+
+/**
+ * Reports that @p value of variable @p name was rejected (@p want says
+ * what is accepted) and that its default applies. Prints at most once
+ * per variable and process. Used by the accessors above and by callers
+ * that parse a Str variable themselves (CABA_AUDIT).
+ */
+void warnRejected(const char *name, const char *value, const char *want);
 
 /** Prints the registry (name, type, default, doc) to @p out. */
 void printHelp(std::FILE *out);

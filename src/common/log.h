@@ -73,13 +73,6 @@ class ProgressReporter
         std::fflush(stderr);
     }
 
-    /** Widest progress line written so far, in columns. */
-    int maxWidth() const
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return max_width_;
-    }
-
     int done() const
     {
         std::lock_guard<std::mutex> lock(mu_);

@@ -1,6 +1,5 @@
 #include "common/self_profile.h"
 
-#include <cstdio>
 #include <mutex>
 
 namespace caba {
@@ -35,19 +34,6 @@ SelfProfile::snapshot()
     Table &t = table();
     std::lock_guard<std::mutex> lock(t.mu);
     return t.ns;
-}
-
-void
-SelfProfile::report(const char *header)
-{
-    auto snap = snapshot();
-    if (snap.empty())
-        return;
-    std::fprintf(stderr, "%s\n", header);
-    for (const auto &[name, ns] : snap) {
-        std::fprintf(stderr, "  self: %-12s %8.3fs\n", name.c_str(),
-                     static_cast<double>(ns) * 1e-9);
-    }
 }
 
 } // namespace caba

@@ -53,9 +53,6 @@ class SelfProfile
 
     /** Snapshot of all buckets (name -> total nanoseconds). */
     static std::map<std::string, std::int64_t> snapshot();
-
-    /** Prints non-empty buckets to stderr as "  self: name 1.234s". */
-    static void report(const char *header);
 };
 
 } // namespace caba

@@ -417,9 +417,8 @@ CellCache::resolveFromEnv()
     // Self-check cache hits whenever periodic audits are requested
     // (CABA_AUDIT=full or a numeric period): the same "spend cycles to
     // prove bookkeeping" dial the audit layer uses.
-    AuditConfig audit = AuditConfig::applySpec(AuditConfig{},
-                                               env::raw("CABA_AUDIT"));
-    self_check_ = audit.level == AuditLevel::Periodic;
+    self_check_ =
+        AuditConfig::resolve(AuditConfig{}).level == AuditLevel::Periodic;
     resolved_ = true;
 }
 
@@ -447,13 +446,6 @@ CellCache::stats()
 }
 
 void
-CellCache::resetStats()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_ = CellCacheStats{};
-}
-
-void
 CellCache::clearInProcess()
 {
     std::lock_guard<std::mutex> lock(mu_);
@@ -467,8 +459,7 @@ CellCache::runCell(const AppDescriptor &app, const DesignConfig &design,
 {
     ExperimentOptions resolved = opts;
     resolved.scale = opts.scale * scaleFromEnv();
-    resolved.jobs = 0;          // worker count cannot affect a result
-    resolved.json_out.clear();  // output path is not a semantic input
+    resolved.jobs = 0;  // worker count cannot affect a result
 
     std::string dir, version;
     bool in_process, self_check;

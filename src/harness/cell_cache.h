@@ -62,7 +62,7 @@ struct CellCacheStats
 /**
  * Canonical key text for one cell: every semantic field of the app,
  * the design and the options (scale already resolved against
- * CABA_SCALE; jobs/json_out excluded — they cannot affect results),
+ * CABA_SCALE; jobs excluded — it cannot affect results),
  * plus @p code_version. Line-oriented "field=value" text: readable in
  * cache entries and stable across processes and machines.
  */
@@ -115,7 +115,6 @@ class CellCache
                       const std::function<RunResult()> &simulate);
 
     CellCacheStats stats();
-    void resetStats();
 
     /** Drops the in-process layer's contents (tests). */
     void clearInProcess();

@@ -52,10 +52,6 @@ struct ExperimentOptions
      * hardware_concurrency), 1 = serial, N = exactly N workers.
      */
     int jobs = 0;
-
-    /** Machine-readable output path ("" = off). Benches fill this from
-     *  the --json flag (see harness/json_export.h). */
-    std::string json_out;
 };
 
 /**

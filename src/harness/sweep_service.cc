@@ -45,15 +45,6 @@ findServableDesign(const std::string &name, DesignConfig *out)
     return false;
 }
 
-bool
-appExists(const std::string &name)
-{
-    for (const AppDescriptor &app : allApps())
-        if (app.name == name)
-            return true;
-    return false;
-}
-
 /** Integral-valued JSON number in [0, @p max]; false otherwise. */
 bool
 jsonNonNegativeInt(const json::Value &v, double max, std::int64_t *out)
@@ -192,7 +183,7 @@ parseSweepRequest(const std::string &text, SweepRequest *out,
             !takeNames(designs, "designs", &r.designs))
             return false;
         for (const std::string &name : r.apps) {
-            if (!appExists(name)) {
+            if (lookupApp(name) == nullptr) {
                 *code = "unknown_app";
                 return failed("unknown app \"" + name + "\"");
             }
@@ -421,13 +412,6 @@ SweepService::stats()
 {
     std::lock_guard<std::mutex> lk(mu_);
     return stats_;
-}
-
-int
-SweepService::queueDepth()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return static_cast<int>(queue_.size());
 }
 
 // lint: stat-producer every service counter is registered through here

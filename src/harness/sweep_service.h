@@ -194,9 +194,6 @@ class SweepService
      *  shutdown_rejected}, cells_{simulated,cache_served}, io_errors. */
     StatSet stats();
 
-    /** Requests currently admitted but not yet finished. */
-    int queueDepth();
-
   private:
     struct Pending
     {

@@ -142,12 +142,6 @@ XbarDirection::popDelivery(int out)
     return req;
 }
 
-int
-XbarDirection::outputDepth(int out) const
-{
-    return static_cast<int>(out_q_[out].size());
-}
-
 Cycle
 XbarDirection::nextWork(Cycle now) const
 {

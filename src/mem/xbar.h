@@ -56,9 +56,6 @@ class XbarDirection : public Clocked
     /** Pops the next delivered packet at output @p out. */
     MemRequest popDelivery(int out);
 
-    /** Number of packets queued at output @p out (for backpressure). */
-    int outputDepth(int out) const;
-
     bool busy() const override;
 
     /**

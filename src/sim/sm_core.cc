@@ -399,13 +399,6 @@ SmCore::deliver(const MemRequest &reply, Cycle now)
     completeFill(reply.line, now);
 }
 
-MemRequest
-SmCore::popOutgoing()
-{
-    CABA_CHECK(!ldst_.out().empty(), "pop from empty out queue");
-    return ldst_.out().take();
-}
-
 // ------------------------------------------------------------ issue
 
 bool

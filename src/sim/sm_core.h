@@ -154,10 +154,6 @@ class SmCore : public Clocked,
      *  to this). */
     Channel<MemRequest> &out() { return ldst_.out(); }
 
-    bool hasOutgoing() const { return !ldst_.out().empty(); }
-    const MemRequest &peekOutgoing() const { return ldst_.out().front(); }
-    MemRequest popOutgoing();
-
     /** Fill/reply delivery from the reply crossbar. */
     void deliver(const MemRequest &reply, Cycle now);
 

@@ -64,6 +64,9 @@ struct AppDescriptor
 /** The full application pool (27 Figure 1 apps + KM, TRA, nw). */
 const std::vector<AppDescriptor> &allApps();
 
+/** Lookup by name; nullptr when absent (for names from user input). */
+const AppDescriptor *lookupApp(const std::string &name);
+
 /** Lookup by name; panics when absent. */
 const AppDescriptor &findApp(const std::string &name);
 

@@ -265,13 +265,21 @@ allApps()
     return apps;
 }
 
-const AppDescriptor &
-findApp(const std::string &name)
+const AppDescriptor *
+lookupApp(const std::string &name)
 {
     for (const AppDescriptor &app : allApps())
         if (app.name == name)
-            return app;
-    CABA_PANIC("unknown application name");
+            return &app;
+    return nullptr;
+}
+
+const AppDescriptor &
+findApp(const std::string &name)
+{
+    const AppDescriptor *app = lookupApp(name);
+    CABA_CHECK(app != nullptr, "unknown application name");
+    return *app;
 }
 
 std::vector<AppDescriptor>

@@ -164,9 +164,18 @@ TEST(Audit, SpecParsing)
     EXPECT_EQ(n.level, AuditLevel::Periodic);
     EXPECT_EQ(n.period, 4096u);
 
-    // Unknown or empty specs leave the configured level alone.
+    // Unknown or empty specs, a zero period spelled "00" and a period
+    // beyond range leave the configured level alone.
     EXPECT_EQ(AuditConfig::applySpec(base, "bogus").level,
               AuditLevel::EndOfRun);
+    EXPECT_EQ(AuditConfig::applySpec(base, "00").level,
+              AuditLevel::EndOfRun);
+    EXPECT_EQ(AuditConfig::applySpec(base, "-5").level,
+              AuditLevel::EndOfRun);
+    const AuditConfig huge =
+        AuditConfig::applySpec(base, "99999999999999999999999");
+    EXPECT_EQ(huge.level, AuditLevel::EndOfRun);
+    EXPECT_EQ(huge.period, base.period);
     EXPECT_EQ(AuditConfig::applySpec(base, "").level,
               AuditLevel::EndOfRun);
     EXPECT_EQ(AuditConfig::applySpec(base, nullptr).level,

@@ -40,7 +40,6 @@ resolvedOpts(const ExperimentOptions &opts)
     ExperimentOptions resolved = opts;
     resolved.scale = opts.scale * scaleFromEnv();
     resolved.jobs = 0;
-    resolved.json_out.clear();
     return resolved;
 }
 
@@ -125,11 +124,10 @@ TEST(CellKey, CoversSemanticInputsAndOnlyThose)
     EXPECT_NE(base, cellKeyText(app, DesignConfig::base(), opts, "v1"));
     EXPECT_NE(base, cellKeyText(app, design, opts, "v2"));
 
-    // ...and the execution knobs must not (runCell neutralizes them;
-    // the key renderer never reads them).
+    // ...and the worker count must not (runCell neutralizes it; the
+    // key renderer never reads it).
     o = opts;
     o.jobs = 7;
-    o.json_out = "/tmp/anywhere.json";
     EXPECT_EQ(base, cellKeyText(app, design, o, "v1"));
 }
 
@@ -198,7 +196,6 @@ TEST_F(CellCacheTest, ExecutionKnobsShareOneEntry)
     (void)runApp(app, DesignConfig::base(), opts);
 
     opts.jobs = 3;
-    opts.json_out = "ignored.json";
     (void)runApp(app, DesignConfig::base(), opts);
     const CellCacheStats st = cache.stats();
     EXPECT_EQ(st.simulations, 1u);

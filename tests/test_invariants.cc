@@ -9,13 +9,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "harness/runner.h"
 
 namespace caba {
 namespace {
 
 class SystemInvariants
-    : public ::testing::TestWithParam<std::tuple<const char *, int>>
+    : public ::testing::TestWithParam<std::tuple<std::string, int>>
 {
   protected:
     RunResult
@@ -79,11 +82,10 @@ TEST_P(SystemInvariants, Hold)
 
 std::string
 invariantCaseName(
-    const ::testing::TestParamInfo<std::tuple<const char *, int>> &info)
+    const ::testing::TestParamInfo<std::tuple<std::string, int>> &info)
 {
     static const char *const designs[] = {"Base", "HW", "CABA", "Ideal"};
-    return std::string(std::get<0>(info.param)) + "_" +
-           designs[std::get<1>(info.param)];
+    return std::get<0>(info.param) + "_" + designs[std::get<1>(info.param)];
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -138,8 +138,9 @@ TEST_F(TraceTest, TracedRunProducesAllCategories)
         // stop() writes events sorted by timestamp.
         EXPECT_GE(ts->number, last_ts);
         last_ts = ts->number;
-        if (ph->string == "X")
+        if (ph->string == "X") {
             EXPECT_GE(ev.find("dur")->number, 1.0);
+        }
         ++timed;
     }
     EXPECT_GT(timed, 100u) << "a real run should emit plenty of events";

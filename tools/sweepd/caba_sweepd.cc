@@ -103,9 +103,6 @@ main(int argc, char **argv)
             usageError("unknown flag '" + arg + "'");
         }
     }
-    if (cfg.max_queue < 0 || cfg.default_timeout_ms < 0)
-        usageError("queue and timeout must be non-negative");
-
     SweepService service(cfg);
     std::string error;
     if (!service.start(&error)) {
