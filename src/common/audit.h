@@ -39,6 +39,7 @@ enum class AuditFault : std::uint8_t
     DropStorePacket,    ///< Crossbar loses the next write packet.
     DoubleCountBurst,   ///< Partition counts the next read's bursts twice.
     LeakLoadSlot,       ///< LDST unit never frees the next finished slot.
+    SkewDramBankCount,  ///< DRAM bank tally counts the next command twice.
 };
 
 /** Audit knobs (GpuConfig::audit; CABA_AUDIT overrides level/period). */

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <mutex>
+#include <vector>
 
 #include "common/env.h"
 #include "common/json.h"
@@ -214,33 +215,58 @@ writeReport(const std::string &path)
 void
 reportTopN(std::FILE *out, int n)
 {
-    std::array<Bucket, kBuckets> buckets = snapshot();
-    std::sort(buckets.begin(), buckets.end(),
-              [](const Bucket &a, const Bucket &b) {
-                  if (a.ns != b.ns)
-                      return a.ns > b.ns;
-                  if (a.comp != b.comp)
-                      return a.comp < b.comp;
-                  return a.phase < b.phase;
-              });
-    std::int64_t total = 0;
-    for (const Bucket &b : buckets)
-        total += b.ns;
+    // loop/cycle is the inclusive whole-run time and every other bucket
+    // is exclusive, nested inside it. Shares are of loop/cycle; what the
+    // top n leave out is one "other" line and the loop's own time the
+    // "loop self" residual, so the printed shares sum to 100%. (Without
+    // a loop/cycle bucket, the exclusive total stands in for it.)
+    const std::array<Bucket, kBuckets> all = snapshot();
+    std::vector<Bucket> excl;
+    std::int64_t loop_ns = 0;
+    std::int64_t excl_ns = 0;
+    for (const Bucket &b : all) {
+        if (b.comp == Comp::Loop && b.phase == Phase::Cycle) {
+            loop_ns = b.ns;
+        } else if (b.ns > 0) {
+            excl.push_back(b);
+            excl_ns += b.ns;
+        }
+    }
+    const std::int64_t total = std::max(loop_ns, excl_ns);
     if (total <= 0)
         return;
-    std::fprintf(out, "caba: profile top %d (of %.3fs attributed):\n", n,
+    std::sort(excl.begin(), excl.end(), [](const Bucket &a, const Bucket &b) {
+        if (a.ns != b.ns)
+            return a.ns > b.ns;
+        if (a.comp != b.comp)
+            return a.comp < b.comp;
+        return a.phase < b.phase;
+    });
+    auto pct = [total](std::int64_t ns) {
+        return 100.0 * static_cast<double>(ns) / static_cast<double>(total);
+    };
+    std::fprintf(out, "caba: profile top %d (of %.3fs in loop/cycle):\n", n,
                  static_cast<double>(total) * 1e-9);
-    for (int i = 0; i < n && i < static_cast<int>(buckets.size()); ++i) {
-        const Bucket &b = buckets[i];
-        if (b.ns <= 0)
-            break;
+    const std::size_t shown =
+        std::min(excl.size(), static_cast<std::size_t>(std::max(n, 0)));
+    for (std::size_t i = 0; i < shown; ++i) {
+        const Bucket &b = excl[i];
         std::fprintf(out, "  %-10s %-8s %9.3fs %5.1f%%  %llu calls\n",
                      compName(b.comp), phaseName(b.phase),
-                     static_cast<double>(b.ns) * 1e-9,
-                     100.0 * static_cast<double>(b.ns) /
-                         static_cast<double>(total),
+                     static_cast<double>(b.ns) * 1e-9, pct(b.ns),
                      static_cast<unsigned long long>(b.calls));
     }
+    std::int64_t other = 0;
+    for (std::size_t i = shown; i < excl.size(); ++i)
+        other += excl[i].ns;
+    if (other > 0) {
+        std::fprintf(out, "  %-19s %9.3fs %5.1f%%  %zu buckets\n", "other",
+                     static_cast<double>(other) * 1e-9, pct(other),
+                     excl.size() - shown);
+    }
+    std::fprintf(out, "  %-10s %-8s %9.3fs %5.1f%%\n", "loop", "self",
+                 static_cast<double>(total - excl_ns) * 1e-9,
+                 pct(total - excl_ns));
 }
 
 } // namespace prof

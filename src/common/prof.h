@@ -117,7 +117,9 @@ void resetForTest();
  */
 bool writeReport(const std::string &path);
 
-/** Prints the top-@p n buckets by wall time to @p out. */
+/** Prints the top-@p n exclusive buckets by wall time to @p out, as
+ *  shares of the inclusive loop/cycle time, then an "other" line for
+ *  the rest and the "loop self" residual: the shares sum to 100%. */
 void reportTopN(std::FILE *out, int n);
 
 } // namespace prof

@@ -10,11 +10,27 @@ namespace caba {
 
 namespace {
 
-/** Base-delta encodings tried in order of decreasing savings. */
-constexpr std::array<BdiEncoding, 6> kBaseDeltaOrder = {
+/** Compressed bytes of a base-delta encoding (layout in bdi.h). */
+constexpr int
+baseDeltaBytes(int word_b, int delta_b)
+{
+    const int n = kLineSize / word_b;
+    return 1 + n / 8 + word_b + n * delta_b;
+}
+
+/** Base-delta encodings in ascending compressed size, so the first one
+ *  that fits is the smallest. B2D1 and B8D4 tie; B2D1 goes first, the
+ *  tie-break of the historical smallest-of-all search. */
+constexpr std::array<BdiEncoding, 6> kBaseDeltaBySize = {
     BdiEncoding::B8D1, BdiEncoding::B4D1, BdiEncoding::B8D2,
-    BdiEncoding::B2D1, BdiEncoding::B4D2, BdiEncoding::B8D4,
+    BdiEncoding::B4D2, BdiEncoding::B2D1, BdiEncoding::B8D4,
 };
+static_assert(baseDeltaBytes(8, 1) < baseDeltaBytes(4, 1) &&
+                  baseDeltaBytes(4, 1) < baseDeltaBytes(8, 2) &&
+                  baseDeltaBytes(8, 2) < baseDeltaBytes(4, 2) &&
+                  baseDeltaBytes(4, 2) < baseDeltaBytes(2, 1) &&
+                  baseDeltaBytes(2, 1) == baseDeltaBytes(8, 4),
+              "kBaseDeltaBySize must list encodings by compressed size");
 
 bool
 lineIsZero(const std::uint8_t *line)
@@ -35,6 +51,71 @@ lineIsRepeated8(const std::uint8_t *line)
     for (int i = 8; i < kLineSize; i += 8)
         diff |= loadLe(line + i, 8) ^ first;
     return diff == 0;
+}
+
+/**
+ * Encodes @p line as base-delta encoding @p enc (word @p W bytes, delta
+ * @p D bytes) into @p out; false, leaving @p out untouched, when some
+ * element fits neither the base nor the implicit zero base. The sizes
+ * are template arguments so every per-element load, sign extension and
+ * fit test below has a constant width.
+ */
+template <int W, int D>
+bool
+encodeBaseDelta(const std::uint8_t *line, BdiEncoding enc,
+                CompressedLine *out)
+{
+    constexpr int n = kLineSize / W;
+    constexpr int mask_b = n / 8;
+
+    // Pick the first non-zero element as the explicit base; an implicit
+    // zero base covers small immediates (paper Section 4.1.1).
+    std::uint64_t base = 0;
+    bool have_base = false;
+    std::array<std::uint64_t, n> vals;
+    for (int i = 0; i < n; ++i) {
+        vals[i] = loadLe(line + i * W, W);
+        if (!have_base && vals[i] != 0) {
+            base = vals[i];
+            have_base = true;
+        }
+    }
+
+    // Deltas are word-width modular differences (the adder that
+    // reconstructs values truncates to the word size, so a delta that
+    // wraps the signed boundary is still exact).
+    constexpr std::uint64_t word_mask =
+        W == 8 ? ~std::uint64_t{0} : ((std::uint64_t{1} << (8 * W)) - 1);
+    // Fixed-trip, branch-free accumulation (SIMD-friendly: a misfit
+    // element clears `ok` instead of early-exiting the loop).
+    std::array<std::int64_t, n> delta;
+    std::uint64_t use_base_mask = 0;
+    bool ok = true;
+    for (int i = 0; i < n; ++i) {
+        const std::int64_t d_base = signExtend((vals[i] - base) & word_mask, W);
+        const std::int64_t d_zero = signExtend(vals[i], W);
+        const bool base_fits = have_base && fitsSigned(d_base, D);
+        const bool zero_fits = fitsSigned(d_zero, D);
+        delta[i] = base_fits ? d_base : d_zero;
+        use_base_mask |= base_fits ? std::uint64_t{1} << i : 0;
+        ok = ok && (base_fits || zero_fits);
+    }
+    if (!ok)
+        return false;
+
+    constexpr int total = baseDeltaBytes(W, D);
+    static_assert(total < kLineSize, "base-delta encoding must save bytes");
+    out->encoding = static_cast<int>(enc);
+    out->bytes.assign(static_cast<std::size_t>(total), 0);
+    std::uint8_t *p = out->bytes.data();
+    p[0] = static_cast<std::uint8_t>(enc);
+    storeLe(p + 1, mask_b, use_base_mask);
+    storeLe(p + 1 + mask_b, W, base);
+    for (int i = 0; i < n; ++i) {
+        storeLe(p + 1 + mask_b + W + i * D, D,
+                static_cast<std::uint64_t>(delta[i]));
+    }
+    return true;
 }
 
 } // namespace
@@ -79,63 +160,16 @@ bool
 BdiCodec::tryEncode(const std::uint8_t *line, BdiEncoding enc,
                     CompressedLine *out) const
 {
-    const int word_b = bdiWordSize(enc);
-    const int delta_b = bdiDeltaSize(enc);
-    const int n = kLineSize / word_b;
-    const int mask_b = n / 8;
-
-    // Pick the first non-zero element as the explicit base; an implicit
-    // zero base covers small immediates (paper Section 4.1.1).
-    std::uint64_t base = 0;
-    bool have_base = false;
-    std::array<std::uint64_t, 64> vals{};
-    for (int i = 0; i < n; ++i) {
-        vals[i] = loadLe(line + i * word_b, word_b);
-        if (!have_base && vals[i] != 0) {
-            base = vals[i];
-            have_base = true;
-        }
+    switch (enc) {
+      case BdiEncoding::B8D1: return encodeBaseDelta<8, 1>(line, enc, out);
+      case BdiEncoding::B8D2: return encodeBaseDelta<8, 2>(line, enc, out);
+      case BdiEncoding::B8D4: return encodeBaseDelta<8, 4>(line, enc, out);
+      case BdiEncoding::B4D1: return encodeBaseDelta<4, 1>(line, enc, out);
+      case BdiEncoding::B4D2: return encodeBaseDelta<4, 2>(line, enc, out);
+      case BdiEncoding::B2D1: return encodeBaseDelta<2, 1>(line, enc, out);
+      default:
+        CABA_PANIC("tryEncode with a non base-delta encoding");
     }
-
-    // Deltas are word-width modular differences (the adder that
-    // reconstructs values truncates to the word size, so a delta that
-    // wraps the signed boundary is still exact).
-    const std::uint64_t word_mask =
-        word_b == 8 ? ~std::uint64_t{0}
-                    : ((std::uint64_t{1} << (8 * word_b)) - 1);
-    // Fixed-trip, branch-free accumulation (SIMD-friendly: a misfit
-    // element clears `ok` instead of early-exiting the loop).
-    std::array<std::int64_t, 64> delta{};
-    std::uint64_t use_base_mask = 0;
-    bool ok = true;
-    for (int i = 0; i < n; ++i) {
-        const std::int64_t d_base =
-            signExtend((vals[i] - base) & word_mask, word_b);
-        const std::int64_t d_zero = signExtend(vals[i], word_b);
-        const bool base_fits = have_base && fitsSigned(d_base, delta_b);
-        const bool zero_fits = fitsSigned(d_zero, delta_b);
-        delta[i] = base_fits ? d_base : d_zero;
-        use_base_mask |= base_fits ? std::uint64_t{1} << i : 0;
-        ok = ok && (base_fits || zero_fits);
-    }
-    if (!ok)
-        return false;
-
-    const int total = 1 + mask_b + word_b + n * delta_b;
-    if (total >= kLineSize)
-        return false;
-
-    out->encoding = static_cast<int>(enc);
-    out->bytes.assign(static_cast<std::size_t>(total), 0);
-    std::uint8_t *p = out->bytes.data();
-    p[0] = static_cast<std::uint8_t>(enc);
-    storeLe(p + 1, mask_b, use_base_mask);
-    storeLe(p + 1 + mask_b, word_b, base);
-    for (int i = 0; i < n; ++i) {
-        storeLe(p + 1 + mask_b + word_b + i * delta_b, delta_b,
-                static_cast<std::uint64_t>(delta[i]));
-    }
-    return true;
 }
 
 CompressedLine
@@ -159,16 +193,10 @@ BdiCodec::compress(const std::uint8_t *line) const
         if (tryEncode(line, preferred_, &cl))
             return cl;
     } else {
-        CompressedLine best;
-        for (BdiEncoding enc : kBaseDeltaOrder) {
-            CompressedLine cand;
-            if (tryEncode(line, enc, &cand) &&
-                (best.bytes.empty() || cand.size() < best.size())) {
-                best = std::move(cand);
-            }
+        for (BdiEncoding enc : kBaseDeltaBySize) {
+            if (tryEncode(line, enc, &cl))
+                return cl;
         }
-        if (!best.bytes.empty())
-            return best;
     }
 
     cl.encoding = static_cast<int>(BdiEncoding::Uncompressed);
@@ -202,7 +230,7 @@ BdiCodec::decompress(const CompressedLine &cl, std::uint8_t *out) const
     const int delta_b = bdiDeltaSize(enc);
     const int n = kLineSize / word_b;
     const int mask_b = n / 8;
-    CABA_CHECK(cl.size() == 1 + mask_b + word_b + n * delta_b,
+    CABA_CHECK(cl.size() == baseDeltaBytes(word_b, delta_b),
                "BDI compressed size mismatch");
 
     const std::uint64_t use_base_mask = loadLe(p + 1, mask_b);

@@ -118,6 +118,9 @@ GpuSystem::injectFault(AuditFault fault)
       case AuditFault::LeakLoadSlot:
         sms_.front()->faultLeakNextLoadSlot();
         break;
+      case AuditFault::SkewDramBankCount:
+        partitions_.front()->faultSkewNextDramBankCount();
+        break;
     }
 }
 

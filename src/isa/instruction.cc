@@ -31,18 +31,22 @@ opName(Opcode op)
 std::string
 Instruction::toString() const
 {
+    // Appends only: chained operator+ on temporaries trips gcc 12's
+    // -Wrestrict false positive at -O3.
     std::string s = opName(op);
-    auto reg = [](int r) { return "r" + std::to_string(r); };
+    auto reg = [&s](const char *sep, int r) {
+        s.append(sep).append("r").append(std::to_string(r));
+    };
     if (dst != kNoReg)
-        s += " " + reg(dst);
+        reg(" ", dst);
     if (src0 != kNoReg)
-        s += (dst != kNoReg ? ", " : " ") + reg(src0);
+        reg(dst != kNoReg ? ", " : " ", src0);
     if (src1 != kNoReg)
-        s += ", " + reg(src1);
+        reg(", ", src1);
     if (stream >= 0)
-        s += " [stream " + std::to_string(stream) + "]";
+        s.append(" [stream ").append(std::to_string(stream)).append("]");
     if (op == Opcode::Branch)
-        s += " -> " + std::to_string(branch_target);
+        s.append(" -> ").append(std::to_string(branch_target));
     return s;
 }
 

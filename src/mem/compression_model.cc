@@ -26,7 +26,7 @@ CompressionModel::evictLru()
     memo_bytes_ -= it->second.bytes;
     memo_.erase(it);
     lru_.pop_back();
-    stats_.add("memo_evictions");
+    ++memo_evictions_;
 }
 
 const CompressedLine &
@@ -41,8 +41,6 @@ CompressionModel::lookup(Addr line)
         it = memo_.emplace(line, Entry{}).first;
         it->second.lru_it = lru_.begin();
         peak_memo_entries_ = std::max(peak_memo_entries_, memo_.size());
-        stats_.set("memo_peak_entries",
-                   static_cast<std::uint64_t>(peak_memo_entries_));
     } else {
         lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     }
@@ -56,20 +54,12 @@ CompressionModel::lookup(Addr line)
         const std::size_t foot = sizeof(Entry) + e.cl.bytes.capacity();
         memo_bytes_ += foot - e.bytes;
         e.bytes = foot;
-        if (memo_bytes_ > peak_memo_bytes_) {
-            peak_memo_bytes_ = memo_bytes_;
-            stats_.set("memo_peak_bytes",
-                       static_cast<std::uint64_t>(peak_memo_bytes_));
-        }
-        stats_.add("lines_compressed");
-        stats_.add("uncompressed_bytes", kLineSize);
-        stats_.add("compressed_bytes",
-                   static_cast<std::uint64_t>(e.cl.size()));
-        stats_.add("uncompressed_bursts", kBurstsPerLine);
-        stats_.add("compressed_bursts",
-                   static_cast<std::uint64_t>(e.cl.bursts()));
-        stats_.dist("compressed_line_bytes")
-            .record(static_cast<std::uint64_t>(e.cl.size()));
+        peak_memo_bytes_ = std::max(peak_memo_bytes_, memo_bytes_);
+        ++lines_compressed_;
+        compressed_bytes_ += static_cast<std::uint64_t>(e.cl.size());
+        compressed_bursts_ += static_cast<std::uint64_t>(e.cl.bursts());
+        compressed_line_bytes_.record(
+            static_cast<std::uint64_t>(e.cl.size()));
         if (verify_) {
             std::uint8_t out[kLineSize];
             codec_->decompress(e.cl, out);
@@ -92,22 +82,42 @@ CompressionModel::bursts(Addr line)
     return enabled() ? lookup(line).bursts() : kBurstsPerLine;
 }
 
+StatSet
+CompressionModel::stats() const
+{
+    StatSet s;
+    // A key appears only once its event happened: an unused model
+    // exports none, and memo_evictions waits for the first eviction.
+    if (peak_memo_entries_ > 0)
+        s.set("memo_peak_entries",
+              static_cast<std::uint64_t>(peak_memo_entries_));
+    if (peak_memo_bytes_ > 0)
+        s.set("memo_peak_bytes", static_cast<std::uint64_t>(peak_memo_bytes_));
+    if (memo_evictions_ > 0)
+        s.setCounter("memo_evictions", memo_evictions_);
+    if (lines_compressed_ > 0) {
+        s.setCounter("lines_compressed", lines_compressed_);
+        s.setCounter("uncompressed_bytes", lines_compressed_ * kLineSize);
+        s.setCounter("compressed_bytes", compressed_bytes_);
+        s.setCounter("uncompressed_bursts",
+                     lines_compressed_ * kBurstsPerLine);
+        s.setCounter("compressed_bursts", compressed_bursts_);
+        s.dist("compressed_line_bytes").merge(compressed_line_bytes_);
+    }
+    return s;
+}
+
 void
 CompressionModel::audit(Audit &a) const
 {
+    const std::uint64_t uncompressed_bytes = lines_compressed_ * kLineSize;
     a.checkLe("model", "compressed_bytes <= uncompressed_bytes",
-              stats_.get("compressed_bytes"),
-              stats_.get("uncompressed_bytes"));
+              compressed_bytes_, uncompressed_bytes);
     a.checkLe("model", "compressed_bursts <= uncompressed_bursts",
-              stats_.get("compressed_bursts"),
-              stats_.get("uncompressed_bursts"));
+              compressed_bursts_, lines_compressed_ * kBurstsPerLine);
     // Every compression emits in [1, kLineSize] bytes, so totals bracket.
     a.checkLe("model", "compressed_bytes >= lines_compressed",
-              stats_.get("lines_compressed"),
-              stats_.get("compressed_bytes"));
-    a.checkEq("model", "uncompressed_bytes == lines * kLineSize",
-              stats_.get("uncompressed_bytes"),
-              stats_.get("lines_compressed") * kLineSize);
+              lines_compressed_, compressed_bytes_);
     a.checkLe("model", "memo entries <= capacity",
               static_cast<std::uint64_t>(memo_.size()),
               static_cast<std::uint64_t>(memo_cap_));

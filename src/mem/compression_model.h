@@ -59,8 +59,10 @@ class CompressionModel
     bool enabled() const { return algo_ != Algorithm::None; }
 
     /** Aggregate compressibility counters (lines, bytes, bursts) plus
-     *  memo_peak_entries / memo_peak_bytes / memo_evictions. */
-    const StatSet &stats() const { return stats_; }
+     *  memo_peak_entries / memo_peak_bytes / memo_evictions. A key is
+     *  present only once its event happened (no keys before the first
+     *  lookup, no memo_evictions before the first eviction). */
+    StatSet stats() const;
 
     std::size_t memoEntries() const { return memo_.size(); }
     std::size_t memoCapacity() const { return memo_cap_; }
@@ -89,7 +91,13 @@ class CompressionModel
     std::size_t memo_bytes_ = 0;
     std::size_t peak_memo_bytes_ = 0;
     std::size_t peak_memo_entries_ = 0;
-    StatSet stats_;
+
+    // counters (hot path: plain members, assembled by stats())
+    std::uint64_t lines_compressed_ = 0;
+    std::uint64_t compressed_bytes_ = 0;
+    std::uint64_t compressed_bursts_ = 0;
+    std::uint64_t memo_evictions_ = 0;
+    Distribution compressed_line_bytes_;
 };
 
 } // namespace caba

@@ -19,7 +19,8 @@ constexpr Addr kChunkBytes = 256;
 DramChannel::DramChannel(const DramConfig &cfg, int id)
     : cfg_(cfg), id_(id), banks_(cfg.banks)
 {
-    CABA_CHECK(cfg_.banks > 0, "channel needs banks");
+    CABA_CHECK(cfg_.banks > 0 && cfg_.banks <= 64,
+               "bank masks support 1..64 banks per channel");
     CABA_CHECK(cfg_.burst_quarters > 0, "bad burst time");
     CABA_CHECK(cfg_.write_drain_low < cfg_.write_drain_high &&
                cfg_.write_drain_high <= cfg_.write_queue_capacity,
@@ -68,8 +69,17 @@ DramChannel::enqueue(DramCmd cmd)
     cmd.bank = bankOf(cmd.line);
     cmd.row = rowOf(cmd.line);
     Bank &b = banks_[static_cast<std::size_t>(cmd.bank)];
+    const int qi = cmd.is_write ? 1 : 0;
+    ++b.queued[qi];
+    if (fault_skew_bank_count_) {
+        // Seeded fault: the tally counts this command twice. The bank
+        // only enters the activation mask early, where the queue scan
+        // finds no command of it, so the schedule is unchanged.
+        ++b.queued[qi];
+        fault_skew_bank_count_ = false;
+    }
     if (b.open_row == cmd.row)
-        ++b.open_matches;
+        ++b.open_hits[qi];
     if (cmd.is_write) {
         write_q_.push_back(cmd);
         ++writes_enqueued_;
@@ -81,56 +91,86 @@ DramChannel::enqueue(DramCmd cmd)
 }
 
 void
-DramChannel::recountOpenMatches(int bank)
+DramChannel::recountOpenHits(int bank)
 {
     Bank &b = banks_[static_cast<std::size_t>(bank)];
-    b.open_matches = 0;
-    for (const DramCmd &c : read_q_) {
-        if (c.bank == bank && b.open_row == c.row)
-            ++b.open_matches;
-    }
-    for (const DramCmd &c : write_q_) {
-        if (c.bank == bank && b.open_row == c.row)
-            ++b.open_matches;
-    }
-}
-
-int
-DramChannel::pickCas(const std::deque<DramCmd> &q, Cycle now) const
-{
-    const int limit =
-        std::min<int>(static_cast<int>(q.size()), cfg_.sched_window);
-    for (int i = 0; i < limit; ++i) {
-        const DramCmd &c = q[static_cast<std::size_t>(i)];
-        const Bank &b = banks_[static_cast<std::size_t>(c.bank)];
-        const Cycle turnaround = c.is_write ? 0 : b.wtr_ready;
-        if (b.open_row == c.row && b.col_ready <= now &&
-            b.act_done <= now && turnaround <= now) {
-            return i;
+    for (int qi = 0; qi < 2; ++qi) {
+        b.open_hits[qi] = 0;
+        for (const DramCmd &c : queue(qi)) {
+            if (c.bank == bank && b.open_row == c.row)
+                ++b.open_hits[qi];
         }
     }
-    return -1;
 }
 
-int
-DramChannel::pickAct(const std::deque<DramCmd> &q) const
+std::uint64_t
+DramChannel::casMask(int qi, Cycle now) const
+{
+    // Reads also wait out tWTR; every command in a queue shares its
+    // direction, so the gate is per (bank, queue).
+    std::uint64_t m = 0;
+    for (int i = 0; i < cfg_.banks; ++i) {
+        const Bank &b = banks_[static_cast<std::size_t>(i)];
+        const Cycle turnaround = qi ? 0 : b.wtr_ready;
+        if (b.open_hits[qi] > 0 && b.col_ready <= now &&
+            b.act_done <= now && turnaround <= now) {
+            m |= std::uint64_t{1} << i;
+        }
+    }
+    return m;
+}
+
+std::uint64_t
+DramChannel::actMask(int qi) const
 {
     // Never close a row that still has queued hits: eager re-activation
-    // would turn those hits into misses and thrash the row buffer.
-    const int limit =
-        std::min<int>(static_cast<int>(q.size()), cfg_.sched_window);
-    for (int i = 0; i < limit; ++i) {
-        const DramCmd &c = q[static_cast<std::size_t>(i)];
-        const Bank &b = banks_[static_cast<std::size_t>(c.bank)];
-        if (b.open_row != c.row && b.pending_row < 0 &&
-            b.open_matches == 0) {
-            return i;
+    // would turn those hits into misses and thrash the row buffer. With
+    // no queued command on the open row, every queued command of the
+    // bank needs an activation.
+    std::uint64_t m = 0;
+    for (int i = 0; i < cfg_.banks; ++i) {
+        const Bank &b = banks_[static_cast<std::size_t>(i)];
+        if (b.queued[qi] > 0 && b.open_hits[0] + b.open_hits[1] == 0) {
+            m |= std::uint64_t{1} << i;
+        }
+    }
+    return m;
+}
+
+int
+DramChannel::pickCas(int qi, Cycle now) const
+{
+    const std::uint64_t m = casMask(qi, now);
+    if (m == 0)
+        return -1;
+    // The oldest open-row hit of a ready bank. sched_window covers the
+    // whole queue (checked at construction), so no window bound applies.
+    const std::deque<DramCmd> &q = queue(qi);
+    for (std::size_t i = 0; i < q.size(); ++i) {
+        const DramCmd &c = q[i];
+        if ((m >> c.bank & 1) != 0 &&
+            banks_[static_cast<std::size_t>(c.bank)].open_row == c.row) {
+            return static_cast<int>(i);
         }
     }
     return -1;
 }
 
-std::deque<DramCmd> &
+int
+DramChannel::pickAct(int qi) const
+{
+    const std::uint64_t m = actMask(qi);
+    if (m == 0)
+        return -1;
+    const std::deque<DramCmd> &q = queue(qi);
+    for (std::size_t i = 0; i < q.size(); ++i) {
+        if ((m >> q[i].bank & 1) != 0)
+            return static_cast<int>(i);
+    }
+    return -1;  // only under the seeded bank-count fault
+}
+
+int
 DramChannel::activeQueue()
 {
     // Write-drain hysteresis (row-thrash control): writes batch in the
@@ -148,14 +188,15 @@ DramChannel::activeQueue()
         }
     }
     if (draining_writes_ && !write_q_.empty())
-        return write_q_;
+        return 1;
     draining_writes_ = false;
-    return read_q_;
+    return 0;
 }
 
 void
-DramChannel::issue(std::deque<DramCmd> &q, int idx, Cycle now)
+DramChannel::issue(int qi, int idx, Cycle now)
 {
+    std::deque<DramCmd> &q = queue(qi);
     const int bank_idx = q[static_cast<std::size_t>(idx)].bank;
     Bank &bank = banks_[static_cast<std::size_t>(bank_idx)];
     const std::int64_t row = q[static_cast<std::size_t>(idx)].row;
@@ -174,12 +215,11 @@ DramChannel::issue(std::deque<DramCmd> &q, int idx, Cycle now)
         bank.open_row = row;
         bank.act_done = act + cfg_.tRCD;
         bank.col_ready = bank.act_done;
-        bank.pending_row = row;
         q[idx].activated = true;
         ++row_misses_;
-        recountOpenMatches(bank_idx);
-        // Keep the claiming command inside the scheduler's search
-        // window so its CAS always issues and releases the claim.
+        recountOpenHits(bank_idx);
+        // Move the claiming command to the front: its CAS is then the
+        // first hit the row serves, and the issue order depends on it.
         if (idx > 0) {
             DramCmd moved = q[idx];
             q.erase(q.begin() + idx);
@@ -190,10 +230,8 @@ DramChannel::issue(std::deque<DramCmd> &q, int idx, Cycle now)
 
     DramCmd cmd = q[idx];
     q.erase(q.begin() + idx);
-    if (bank.open_matches > 0)
-        --bank.open_matches;
-    if (bank.pending_row == row)
-        bank.pending_row = -1;
+    --bank.queued[qi];
+    --bank.open_hits[qi];   // a CAS always targets the open row
     if (!cmd.activated)
         ++row_hits_;
 
@@ -265,27 +303,26 @@ DramChannel::cycle(Cycle now)
         ++sched_blocked_cap_;
         return;
     }
-    std::deque<DramCmd> &q = activeQueue();
+    const int qi = activeQueue();
 
     // One activation and one CAS may issue per cycle (command/address
     // bandwidth is not the bottleneck this model studies).
-    const int act_idx = pickAct(q);
+    const int act_idx = pickAct(qi);
     if (act_idx >= 0)
-        issue(q, act_idx, now);
+        issue(qi, act_idx, now);
 
-    const int cas_idx = pickCas(q, now);
+    const int cas_idx = pickCas(qi, now);
     if (cas_idx >= 0) {
-        issue(q, cas_idx, now);
+        issue(qi, cas_idx, now);
         return;
     }
     // Opportunistic CAS from the inactive queue: open-row hits there
     // cost almost nothing, and claims/hits left stranded across
     // drain-mode switches would otherwise wedge their banks (row
     // re-activation is blocked while same-row work is queued).
-    std::deque<DramCmd> &other = (&q == &read_q_) ? write_q_ : read_q_;
-    const int other_idx = pickCas(other, now);
+    const int other_idx = pickCas(1 - qi, now);
     if (other_idx >= 0) {
-        issue(other, other_idx, now);
+        issue(1 - qi, other_idx, now);
         return;
     }
     if (act_idx < 0)
@@ -324,28 +361,21 @@ DramChannel::nextWork(Cycle now) const
     const bool d1 = drain_step(draining_writes_);
     if (drain_step(d1) != d1)
         return now;
-    const std::deque<DramCmd> &q =
-        (d1 && !write_q_.empty()) ? write_q_ : read_q_;
-    if (pickAct(q) >= 0)
+    if (actMask(d1 && !write_q_.empty() ? 1 : 0) != 0)
         return now;     // activation eligibility is time-independent
     // No activation possible: the next issue is the earliest CAS whose
-    // bank timing gates clear. pickCas scans both queues (active +
-    // opportunistic), so so does the bound.
-    auto earliest_cas = [this, now](const std::deque<DramCmd> &cq,
-                                    Cycle bound) {
-        for (const DramCmd &c : cq) {
-            const Bank &b = banks_[static_cast<std::size_t>(c.bank)];
-            if (b.open_row != c.row)
-                continue;
-            Cycle t = std::max(b.col_ready, b.act_done);
-            if (!c.is_write)
-                t = std::max(t, b.wtr_ready);
-            bound = std::min(bound, t > now ? t : now);
+    // bank timing gates clear. pickCas serves both queues (active +
+    // opportunistic), so so does the bound; each bank's open-row hits
+    // in one queue share one gate.
+    for (const Bank &b : banks_) {
+        const Cycle col = std::max(b.col_ready, b.act_done);
+        if (b.open_hits[0] > 0) {
+            const Cycle t = std::max(col, b.wtr_ready);
+            e = std::min(e, t > now ? t : now);
         }
-        return bound;
-    };
-    e = earliest_cas(read_q_, e);
-    e = earliest_cas(write_q_, e);
+        if (b.open_hits[1] > 0)
+            e = std::min(e, col > now ? col : now);
+    }
     return e;
 }
 
@@ -426,6 +456,25 @@ DramChannel::audit(Audit &a, bool at_drain) const
               reads_enqueued_);
     a.checkLe("dram", "writes issued <= writes enqueued", writes_,
               writes_enqueued_);
+    // The scheduler's per-bank tallies against a recount of both queues.
+    std::uint64_t tallies_off = 0;
+    for (int bank = 0; bank < cfg_.banks; ++bank) {
+        const Bank &b = banks_[static_cast<std::size_t>(bank)];
+        for (int qi = 0; qi < 2; ++qi) {
+            int queued = 0;
+            int hits = 0;
+            for (const DramCmd &c : queue(qi)) {
+                if (c.bank == bank) {
+                    ++queued;
+                    hits += b.open_row == c.row ? 1 : 0;
+                }
+            }
+            if (queued != b.queued[qi] || hits != b.open_hits[qi])
+                ++tallies_off;
+        }
+    }
+    a.checkEq("dram", "per-bank queued/open_hits tallies match a recount",
+              tallies_off, 0);
     if (at_drain) {
         a.checkEq("dram", "every enqueued read issued at drain",
                   reads_enqueued_, reads_);

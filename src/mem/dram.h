@@ -153,8 +153,14 @@ class DramChannel : public Clocked
      *  equal this at drain). */
     std::uint64_t dataBursts() const { return data_bursts_; }
 
-    /** Burst-ledger and enqueue/completion conservation checks. */
+    /** Burst-ledger and enqueue/completion conservation checks, and
+     *  the per-bank queued/open-hit tallies against a recount. */
     void audit(Audit &a, bool at_drain) const;
+
+    /** Mutation self-test hook: the next enqueue counts its command
+     *  twice in its bank's queue tally (a bookkeeping bug that leaves
+     *  the schedule unchanged; only the audit recount can see it). */
+    void faultSkewNextBankCount() { fault_skew_bank_count_ = true; }
 
   private:
     struct Bank
@@ -167,29 +173,50 @@ class DramChannel : public Clocked
         Cycle write_recover = 0; ///< tWR: gates precharge after a write.
         Cycle wtr_ready = 0;     ///< tWTR: gates reads after a write.
 
-        /** Row activated on behalf of a still-queued command; blocks
-         *  competing activations until that command's CAS issues. */
-        std::int64_t pending_row = -1;
+        /** Commands of this bank in each queue (index: is_write). */
+        int queued[2] = {0, 0};
 
-        /** Queued commands (either queue) matching the open row; a
-         *  bank with open-row work is never re-activated (row-thrash
-         *  control). Maintained incrementally. */
-        int open_matches = 0;
+        /** Of those, the ones matching the open row. A bank with
+         *  open-row work in either queue is never re-activated
+         *  (row-thrash control); this also holds a fresh activation
+         *  for the command that claimed it, which stays queued on the
+         *  open row until its CAS. Both tallies kept in step at
+         *  enqueue, CAS issue and activation; audit() recounts them. */
+        int open_hits[2] = {0, 0};
     };
 
     int bankOf(Addr line) const;
     std::int64_t rowOf(Addr line) const;
 
-    /** FR-FCFS pick within @p q: delivery-ready CAS first, else -1. */
-    int pickCas(const std::deque<DramCmd> &q, Cycle now) const;
+    /** Read queue (0) or write queue (1). */
+    std::deque<DramCmd> &queue(int qi) { return qi ? write_q_ : read_q_; }
+    const std::deque<DramCmd> &
+    queue(int qi) const
+    {
+        return qi ? write_q_ : read_q_;
+    }
 
-    /** Oldest command in @p q needing an unclaimed activation, or -1. */
-    int pickAct(const std::deque<DramCmd> &q) const;
+    /** Banks (bit b) whose open row has a queued hit in queue @p qi and
+     *  whose column timing gates are clear at @p now. */
+    std::uint64_t casMask(int qi, Cycle now) const;
 
-    void issue(std::deque<DramCmd> &q, int idx, Cycle now);
+    /** Banks (bit b) with a command in queue @p qi and no open-row work
+     *  (which covers a pending activation): any of their commands may
+     *  activate. */
+    std::uint64_t actMask(int qi) const;
+
+    /** FR-FCFS pick within queue @p qi: the oldest delivery-ready
+     *  open-row hit, else -1. */
+    int pickCas(int qi, Cycle now) const;
+
+    /** Oldest command in queue @p qi needing an unclaimed activation,
+     *  or -1. */
+    int pickAct(int qi) const;
+
+    void issue(int qi, int idx, Cycle now);
 
     /** The queue the scheduler serves this cycle (write drain mode). */
-    std::deque<DramCmd> &activeQueue();
+    int activeQueue();
 
     DramConfig cfg_;
     int id_;
@@ -199,8 +226,12 @@ class DramChannel : public Clocked
     bool draining_writes_ = false;
     std::vector<DramCompletion> completed_;
 
-    /** Recounts @c open_matches for @p bank after its row changed. */
-    void recountOpenMatches(int bank);
+    /** Recounts @c open_hits for @p bank after its row changed. */
+    void recountOpenHits(int bank);
+
+    /** Seeded fault: the next enqueue counts its command twice in the
+     *  bank's @c queued tally (see faultSkewNextBankCount()). */
+    bool fault_skew_bank_count_ = false;
 
     /** Data-bus reservation head, in quarter-cycles. */
     std::uint64_t bus_free_q_ = 0;

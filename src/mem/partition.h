@@ -103,6 +103,9 @@ class MemoryPartition : public Clocked, public Sink<MemRequest>
      *  twice in the transfer ledger (simulates a double-count bug). */
     void faultDoubleCountNextBurst() { fault_double_count_burst_ = true; }
 
+    /** Mutation self-test hook (see DramChannel::faultSkewNextBankCount). */
+    void faultSkewNextDramBankCount() { dram_.faultSkewNextBankCount(); }
+
     /** Stat identities and queue-drain checks for the whole partition
      *  (L2, MD cache, TLB, DRAM channel, transfer-burst ledger). */
     void audit(Audit &a, bool at_drain) const;

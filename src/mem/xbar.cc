@@ -1,6 +1,7 @@
 #include "mem/xbar.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.h"
 #include "common/trace.h"
@@ -11,12 +12,13 @@ XbarDirection::XbarDirection(int inputs, int outputs, const XbarConfig &cfg,
                              int trace_tid_base)
     : cfg_(cfg), inputs_(inputs), outputs_(outputs),
       trace_tid_base_(trace_tid_base),
-      in_q_(inputs), port_busy_until_(outputs, 0), rr_(outputs, 0),
-      out_q_(outputs), flying_per_out_(outputs, 0),
+      in_q_(inputs), outs_(static_cast<std::size_t>(outputs)),
+      out_q_(outputs),
       in_ports_(static_cast<std::size_t>(inputs)),
       out_ports_(static_cast<std::size_t>(outputs))
 {
-    CABA_CHECK(inputs > 0 && outputs > 0, "bad crossbar geometry");
+    CABA_CHECK(inputs > 0 && inputs <= 64 && outputs > 0,
+               "bad crossbar geometry (inputs must fit the head bitsets)");
     for (int i = 0; i < inputs; ++i) {
         in_ports_[static_cast<std::size_t>(i)].x_ = this;
         in_ports_[static_cast<std::size_t>(i)].in_ = i;
@@ -66,6 +68,8 @@ XbarDirection::push(int in, int out, const MemRequest &req)
         fault_drop_next_store_ = false;
         return;
     }
+    if (in_q_[in].empty())
+        outs_[out].heads |= std::uint64_t{1} << in;
     in_q_[in].emplace_back(out, req);
     ++queued_packets_;
 }
@@ -80,7 +84,7 @@ XbarDirection::cycle(Cycle now)
         if (flying_[i].deliver_at <= now) {
             const int out = flying_[i].out;
             out_q_[out].push_back({flying_[i].req, flying_[i].deliver_at});
-            --flying_per_out_[out];
+            --outs_[out].flying;
             flying_[i] = flying_.back();
             flying_.pop_back();
         } else {
@@ -90,40 +94,53 @@ XbarDirection::cycle(Cycle now)
 
     // Per-output round-robin packet arbitration. The output port is
     // reserved for the packet's flit count; a fresh packet starts only
-    // when the port is free and the destination queue has room.
+    // when the port is free and the destination queue has room. Outputs
+    // go in ascending order: a pop exposes the input's next head, which
+    // a later output may take in the same cycle.
     for (int out = 0; out < outputs_; ++out) {
-        if (port_busy_until_[out] > now)
+        Output &o = outs_[out];
+        if (o.heads == 0 || o.busy_until > now)
             continue;
-        if (static_cast<int>(out_q_[out].size()) + flying_per_out_[out] >=
+        if (static_cast<int>(out_q_[out].size()) + o.flying >=
                 cfg_.output_queue) {
             continue;
         }
-        for (int k = 0; k < inputs_; ++k) {
-            const int in = (rr_[out] + k) % inputs_;
-            auto &q = in_q_[in];
-            if (q.empty() || q.front().first != out)
-                continue;
-            const MemRequest req = q.front().second;
-            q.pop_front();
-            --queued_packets_;
-            const int flits = req.flits();
-            port_busy_until_[out] = now + flits;
-            flying_.push_back({req, out, now + flits + cfg_.latency});
-            ++flying_per_out_[out];
-            ++arbitrated_;
-            stats_.add("packets");
-            stats_.add("flits", static_cast<std::uint64_t>(flits));
-            if (trace::on(trace::kXbar)) {
-                // Span = output-port occupancy of this packet.
-                trace::complete(trace::kXbar, trace::kPidXbar,
-                                trace_tid_base_ + out, "packet", now,
-                                static_cast<Cycle>(flits), "flits",
-                                static_cast<std::uint64_t>(flits));
-            }
-            rr_[out] = (in + 1) % inputs_;
-            break;
+        // The first requesting input at or after the rotation point.
+        const std::uint64_t hi = o.heads & (~std::uint64_t{0} << o.rr);
+        const int in = std::countr_zero(hi != 0 ? hi : o.heads);
+        auto &q = in_q_[in];
+        const MemRequest req = q.front().second;
+        q.pop_front();
+        o.heads &= ~(std::uint64_t{1} << in);
+        if (!q.empty())
+            outs_[q.front().first].heads |= std::uint64_t{1} << in;
+        --queued_packets_;
+        const int flits = req.flits();
+        o.busy_until = now + flits;
+        flying_.push_back({req, out, now + flits + cfg_.latency});
+        ++o.flying;
+        ++arbitrated_;
+        flits_ += static_cast<std::uint64_t>(flits);
+        if (trace::on(trace::kXbar)) {
+            // Span = output-port occupancy of this packet.
+            trace::complete(trace::kXbar, trace::kPidXbar,
+                            trace_tid_base_ + out, "packet", now,
+                            static_cast<Cycle>(flits), "flits",
+                            static_cast<std::uint64_t>(flits));
         }
+        o.rr = (in + 1) % inputs_;
     }
+}
+
+StatSet
+XbarDirection::stats() const
+{
+    StatSet s;
+    if (arbitrated_ > 0) {
+        s.setCounter("packets", arbitrated_);
+        s.setCounter("flits", flits_);
+    }
+    return s;
 }
 
 bool
@@ -155,21 +172,18 @@ XbarDirection::nextWork(Cycle now) const
     Cycle e = kNoWork;
     for (const InFlight &f : flying_)
         e = std::min(e, f.deliver_at > now ? f.deliver_at : now);
-    for (const auto &q : in_q_) {
-        if (q.empty())
+    for (std::size_t out = 0; out < outs_.size(); ++out) {
+        const Output &o = outs_[out];
+        if (o.heads == 0)
             continue;
-        const int out = q.front().first;
         // A full destination (queued + flying >= capacity) unblocks via
         // the flying_ term above or the ready-delivery case; otherwise
-        // the head packet can start once the port frees up.
-        if (static_cast<int>(out_q_[static_cast<std::size_t>(out)].size()) +
-                flying_per_out_[static_cast<std::size_t>(out)] >=
+        // a head packet can start once the port frees up.
+        if (static_cast<int>(out_q_[out].size()) + o.flying >=
             cfg_.output_queue) {
             continue;
         }
-        const Cycle free_at =
-            port_busy_until_[static_cast<std::size_t>(out)];
-        e = std::min(e, free_at > now ? free_at : now);
+        e = std::min(e, o.busy_until > now ? o.busy_until : now);
     }
     return e;
 }

@@ -8,6 +8,7 @@
 #ifndef CABA_MEM_XBAR_H
 #define CABA_MEM_XBAR_H
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <vector>
@@ -29,9 +30,11 @@ struct XbarConfig
 };
 
 /**
- * One direction of the crossbar: @p inputs input ports, @p outputs
- * output ports, per-output round-robin arbitration at packet
- * granularity, output-port occupancy proportional to flit count.
+ * One direction of the crossbar: @p inputs input ports (at most 64),
+ * @p outputs output ports, per-output round-robin arbitration at packet
+ * granularity, output-port occupancy proportional to flit count. Each
+ * output keeps a bitset of the inputs whose head packet targets it, so
+ * arbitration is a rotated bit scan, not a loop over every input.
  */
 class XbarDirection : public Clocked
 {
@@ -64,7 +67,8 @@ class XbarDirection : public Clocked
      */
     Cycle nextWork(Cycle now) const override;
 
-    const StatSet &stats() const { return stats_; }
+    /** packets/flits arbitrated; empty until the first packet. */
+    StatSet stats() const;
 
     /** Registers the lifecycle audit; packets entering this direction
      *  are tagged with @p stage (request vs reply side). */
@@ -145,21 +149,29 @@ class XbarDirection : public Clocked
     int inputs_;
     int outputs_;
     int trace_tid_base_;
+    /** Arbitration state of one output port. */
+    struct Output
+    {
+        std::uint64_t heads = 0;    ///< Bit in: input in's head targets us.
+        Cycle busy_until = 0;       ///< Port reserved for a packet's flits.
+        int rr = 0;                 ///< Round-robin start input.
+        int flying = 0;             ///< Arbitrated packets still in flight.
+    };
+
     std::vector<std::deque<std::pair<int, MemRequest>>> in_q_;
-    std::vector<Cycle> port_busy_until_;
-    std::vector<int> rr_;
+    std::vector<Output> outs_;
     std::vector<std::deque<Delivered>> out_q_;
     std::vector<InFlight> flying_;
-    std::vector<int> flying_per_out_;
     int queued_packets_ = 0;
-    StatSet stats_;
     Audit *audit_ = nullptr;
     ReqStage stage_ = ReqStage::XbarReq;
     bool fault_drop_next_store_ = false;
 
-    // audit-only conservation counters (not exported in stats_)
+    // conservation counters (audit); arbitrated_ and flits_ are also
+    // the exported packets/flits stats
     std::uint64_t pushed_ = 0;
     std::uint64_t arbitrated_ = 0;
+    std::uint64_t flits_ = 0;
     std::uint64_t popped_ = 0;
     std::function<int(const MemRequest &)> router_;
     std::vector<InPort> in_ports_;

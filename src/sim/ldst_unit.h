@@ -67,7 +67,7 @@ class LdstUnit
     LdstUnit(int sm_id, const SmConfig &cfg, const CacheConfig &l1_cfg,
              Hooks *hooks);
 
-    // -- issue-time interface (SmCore::tryIssueRegular) --
+    // -- issue-time interface (SmCore::issueRegular) --
 
     bool busy() const { return st_.busy; }
     bool hasFreeLoadSlot() const { return !free_load_slots_.empty(); }

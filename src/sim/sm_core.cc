@@ -401,8 +401,28 @@ SmCore::deliver(const MemRequest &reply, Cycle now)
 
 // ------------------------------------------------------------ issue
 
-bool
-SmCore::tryIssueRegular(int warp, Cycle now)
+IssueClassMask
+SmCore::blockedIssueClasses() const
+{
+    // The structural hazards each issue class must clear this slot.
+    // Nothing here changes while a slot's regular pick runs (it issues
+    // at most one warp), so the mask decides every candidate at once.
+    IssueClassMask blocked = 0;
+    if (alu_inflight_ >= cfg_.alu_inflight_max)
+        blocked |= 1u << kIssueAlu;
+    if (sfu_inflight_ >= cfg_.sfu_inflight_max || sfu_port_used_)
+        blocked |= 1u << kIssueSfu;
+    if (mem_port_used_)
+        blocked |= 1u << kIssueShared;
+    if (mem_port_used_ || ldst_.busy())
+        blocked |= 1u << kIssueGlobalStore;
+    if (mem_port_used_ || ldst_.busy() || !ldst_.hasFreeLoadSlot())
+        blocked |= 1u << kIssueGlobalLoad;
+    return blocked;
+}
+
+void
+SmCore::issueRegular(int warp, Cycle now)
 {
     WarpState &w = sched_.warp(warp);
     const DecodedInst di = w.ibuf.front();
@@ -412,10 +432,6 @@ SmCore::tryIssueRegular(int warp, Cycle now)
       case Opcode::AluInt:
       case Opcode::AluFp:
       case Opcode::Mov: {
-        if (alu_inflight_ >= cfg_.alu_inflight_max) {
-            slot_comp_block_ = true;
-            return false;
-        }
         ++alu_inflight_;
         Event ev;
         ev.warp = warp;
@@ -429,10 +445,6 @@ SmCore::tryIssueRegular(int warp, Cycle now)
         break;
       }
       case Opcode::Sfu: {
-        if (sfu_inflight_ >= cfg_.sfu_inflight_max || sfu_port_used_) {
-            slot_comp_block_ = true;
-            return false;
-        }
         sfu_port_used_ = true;
         // Memoization (Section 7.1): a fraction of SFU computations hit
         // the shared-memory LUT and complete at shared-memory latency.
@@ -471,10 +483,6 @@ SmCore::tryIssueRegular(int warp, Cycle now)
       }
       case Opcode::LdShared:
       case Opcode::StShared: {
-        if (mem_port_used_) {
-            slot_mem_block_ = true;
-            return false;
-        }
         mem_port_used_ = true;
         if (inst.op == Opcode::LdShared && inst.dst >= 0) {
             Event ev;
@@ -490,11 +498,6 @@ SmCore::tryIssueRegular(int warp, Cycle now)
       case Opcode::LdGlobal:
       case Opcode::StGlobal: {
         const bool is_store = inst.op == Opcode::StGlobal;
-        if (mem_port_used_ || ldst_.busy() ||
-            (!is_store && !ldst_.hasFreeLoadSlot())) {
-            slot_mem_block_ = true;
-            return false;
-        }
         mem_port_used_ = true;
         MemAccess &access = ldst_.beginAccess(is_store, warp);
         kernel_->genLines(inst.stream, w.global_id, di.iter, &access);
@@ -535,7 +538,6 @@ SmCore::tryIssueRegular(int warp, Cycle now)
 
     w.ibuf.pop();
     ++instr_issued_;
-    return true;
 }
 
 bool
@@ -600,10 +602,22 @@ SmCore::issueStage(Cycle now)
         }
 
         // 2. Regular warps: greedy-then-oldest (Table 1), or loose
-        // round-robin when cfg_.gto is off (scheduler ablation).
+        // round-robin when cfg_.gto is off (scheduler ablation). Warps
+        // whose class a structural hazard blocks are never offered; if
+        // none issues, the slot is charged to the hazard kinds of the
+        // blocked candidates.
         if (!issued) {
+            const IssueClassMask blocked = blockedIssueClasses();
             issued = sched_.pickAndIssue(
-                s, [&](int w) { return tryIssueRegular(w, now); });
+                s, blocked, [&](int w) { issueRegular(w, now); });
+            if (!issued) {
+                const IssueClassMask seen =
+                    sched_.candidateClasses(s) & blocked;
+                if ((seen & kMemIssueClasses) != 0)
+                    slot_mem_block_ = true;
+                if ((seen & ~kMemIssueClasses) != 0)
+                    slot_comp_block_ = true;
+            }
         }
 
         // 3. Low-priority assist warps fill idle slots (Section 3.4).

@@ -263,7 +263,10 @@ class SmCore : public Clocked,
     void sampleStallVector();
 
     // helpers
-    bool tryIssueRegular(int warp, Cycle now);
+    /** Issue classes an SM-wide structural hazard blocks right now. */
+    IssueClassMask blockedIssueClasses() const;
+    /** Issues @p warp's front instruction (its class is not blocked). */
+    void issueRegular(int warp, Cycle now);
     bool tryIssueAssist(AssistWarp &aw, Cycle now);
     void scheduleEvent(Cycle at, Event ev, Cycle now);
     void completeFill(Addr line, Cycle now);

@@ -44,6 +44,8 @@ WarpScheduler::launch(const KernelInfo *kernel, int num_warps,
         ws.trips_left = std::max(1, kernel->iterations(ws.global_id));
     }
     issuable_ = blocked_ = mem_blocked_ = live_ = decodable_ = 0;
+    for (std::uint64_t &m : class_)
+        m = 0;
     for (int w = 0; w < max_warps_; ++w)
         refreshWarp(w);
 }

@@ -3,16 +3,19 @@
  * Warp front-end of one SM: per-warp decode state and instruction
  * buffers, the round-robin decode pick, scoreboard readiness, and the
  * greedy-then-oldest (or loose round-robin) issue selection of Table 1.
- * Execution itself stays with SmCore — the scheduler hands it a warp id
- * through a try-issue callback and keeps its greedy/rotation bookkeeping
- * consistent with whether the issue actually happened.
+ * Execution itself stays with SmCore — the scheduler hands it the
+ * chosen warp id through an issue callback and keeps its greedy/rotation
+ * bookkeeping.
  *
- * Selection is struct-of-arrays: three uint64 bitsets (issuable,
- * operand-blocked, decodable — one bit per warp) are kept in lockstep
- * with the per-warp state, so the per-cycle decode and issue picks are
- * rotated word-scans instead of per-warp loops. Any out-of-band
- * mutation of a WarpState must be followed by refreshWarp(); the picks
- * visit warps in exactly the order the historical loops did.
+ * Selection is struct-of-arrays: uint64 bitsets (issuable,
+ * operand-blocked, decodable, and one per front-instruction issue
+ * class — one bit per warp) are kept in lockstep with the per-warp
+ * state, so the per-cycle decode and issue picks are rotated
+ * word-scans instead of per-warp loops. The issue pick masks out the
+ * classes an SM-wide hazard blocks, so it never offers a warp that
+ * cannot issue. Any out-of-band mutation of a WarpState must be
+ * followed by refreshWarp(); the picks choose exactly the warp the
+ * historical offer-each-warp loops did.
  */
 #ifndef CABA_SIM_WARP_SCHEDULER_H
 #define CABA_SIM_WARP_SCHEDULER_H
@@ -27,6 +30,52 @@
 namespace caba {
 
 struct SmConfig;
+
+/**
+ * Issue classes of a front instruction, one per SM-wide structural
+ * hazard set (SmCore::blockedIssueClasses). Branch and Exit have no
+ * class: nothing blocks them.
+ */
+enum IssueClass : int {
+    kIssueAlu = 0,      ///< AluInt, AluFp, Mov: ALU in-flight cap.
+    kIssueSfu,          ///< Sfu: SFU in-flight cap and SFU port.
+    kIssueShared,       ///< LdShared, StShared: memory port.
+    kIssueGlobalStore,  ///< StGlobal: memory port, LDST drain.
+    kIssueGlobalLoad,   ///< LdGlobal: the above and a free load slot.
+    kNumIssueClasses,
+};
+
+/** Bit set of IssueClass values (bit c = class c). */
+using IssueClassMask = unsigned;
+
+/** Classes whose hazards are memory-structural (the rest: compute). */
+inline constexpr IssueClassMask kMemIssueClasses =
+    1u << kIssueShared | 1u << kIssueGlobalStore | 1u << kIssueGlobalLoad;
+
+/** The IssueClass of @p op, or -1 for Branch/Exit. */
+constexpr int
+issueClassOf(Opcode op)
+{
+    switch (op) {
+      case Opcode::AluInt:
+      case Opcode::AluFp:
+      case Opcode::Mov:
+        return kIssueAlu;
+      case Opcode::Sfu:
+        return kIssueSfu;
+      case Opcode::LdShared:
+      case Opcode::StShared:
+        return kIssueShared;
+      case Opcode::StGlobal:
+        return kIssueGlobalStore;
+      case Opcode::LdGlobal:
+        return kIssueGlobalLoad;
+      case Opcode::Branch:
+      case Opcode::Exit:
+        break;
+    }
+    return -1;
+}
 
 /** Decode/issue front-end shared by the SmCore pipelines. */
 class WarpScheduler
@@ -143,6 +192,10 @@ class WarpScheduler
         setBit(&decodable_, bit,
                alive && !ws.decode_done &&
                    static_cast<int>(ws.ibuf.size()) < ibuffer_entries_);
+        const int cls =
+            buffered ? issueClassOf(ws.ibuf.front().inst->op) : -1;
+        for (int c = 0; c < kNumIssueClasses; ++c)
+            setBit(&class_[c], bit, c == cls);
     }
 
     int liveWarps() const { return live_warps_; }
@@ -152,45 +205,59 @@ class WarpScheduler
 
     /**
      * Issue selection for scheduler @p s: greedy-then-oldest over its
-     * warp parity (loose round-robin when gto is off). @p try_issue is
-     * invoked with a ready warp id and reports whether the issue took a
-     * pipeline slot; greedy/rotation state updates only on success.
+     * warp parity (loose round-robin when gto is off), skipping warps
+     * whose front instruction is in a class of @p excluded. @p issue is
+     * invoked with the chosen warp id and must issue it; the chosen
+     * warp is the first one the historical loop, offering each ready
+     * warp in turn, would have seen accepted. Returns false when no
+     * warp is eligible.
      */
-    template <typename TryIssue>
+    template <typename Issue>
     bool
-    pickAndIssue(int s, TryIssue &&try_issue)
+    pickAndIssue(int s, IssueClassMask excluded, Issue &&issue)
     {
         const std::size_t si = static_cast<std::size_t>(s);
-        const int g = greedy_warp_[si];
-        if (gto_ && g != kInvalidWarp && ((issuable_ >> g) & 1)) {
-            const bool ok = try_issue(g);
-            refreshWarp(g);
-            if (ok)
-                return true;
+        std::uint64_t blocked_warps = 0;
+        for (int c = 0; c < kNumIssueClasses; ++c) {
+            if ((excluded >> c & 1) != 0)
+                blocked_warps |= class_[c];
         }
+        const std::uint64_t cand =
+            issuable_ & parity_mask_[si] & ~blocked_warps;
+        if (cand == 0)
+            return false;
+        const int g = greedy_warp_[si];
+        if (gto_ && g != kInvalidWarp && ((cand >> g) & 1)) {
+            issue(g);
+            refreshWarp(g);
+            return true;
+        }
+        // The first eligible warp in the historical slot order: a
+        // rotated word-scan from the rotation point, wrapping.
         const int slots = max_warps_ / schedulers_;
         const int start = gto_ ? 0 : lrr_next_[si];
-        // Rotated word-scan over this scheduler's issuable warps, in the
-        // historical slot order. A failed try_issue mutates nothing and
-        // refreshWarp(w) touches only w's bits, so the snapshot stays
-        // exact for the rest of the scan.
-        const std::uint64_t cand = issuable_ & parity_mask_[si];
         const int start_w = start * schedulers_ + s;
         const std::uint64_t hi = cand & (~std::uint64_t{0} << start_w);
-        for (std::uint64_t m : {hi, cand ^ hi}) {
-            while (m != 0) {
-                const int w = std::countr_zero(m);
-                m &= m - 1;
-                const bool ok = try_issue(w);
-                refreshWarp(w);
-                if (ok) {
-                    greedy_warp_[si] = w;
-                    lrr_next_[si] = (w / schedulers_ + 1) % slots;
-                    return true;
-                }
-            }
+        const int w = std::countr_zero(hi != 0 ? hi : cand);
+        issue(w);
+        refreshWarp(w);
+        greedy_warp_[si] = w;
+        lrr_next_[si] = (w / schedulers_ + 1) % slots;
+        return true;
+    }
+
+    /** Issue classes present among scheduler @p s's issuable warps. */
+    IssueClassMask
+    candidateClasses(int s) const
+    {
+        const std::uint64_t cand =
+            issuable_ & parity_mask_[static_cast<std::size_t>(s)];
+        IssueClassMask classes = 0;
+        for (int c = 0; c < kNumIssueClasses; ++c) {
+            if ((class_[c] & cand) != 0)
+                classes |= 1u << c;
         }
-        return false;
+        return classes;
     }
 
     // -- quiescence queries (for SmCore::nextWork / skipIdle) --
@@ -267,6 +334,9 @@ class WarpScheduler
     std::uint64_t mem_blocked_ = 0; ///< blocked, waiting on a load result
     std::uint64_t live_ = 0;        ///< exists and not retired
     std::uint64_t decodable_ = 0;   ///< exists, fetchable, ibuf has room
+
+    /** class_[c]: buffered warps whose front instruction is of class c. */
+    std::uint64_t class_[kNumIssueClasses] = {};
 
     /** Bit w set iff w % schedulers == s (scheduler s's warps). */
     std::vector<std::uint64_t> parity_mask_;

@@ -105,6 +105,23 @@ TEST(Audit, DetectsLeakedLoadSlot)
     EXPECT_FALSE(r.failures.empty());
 }
 
+TEST(Audit, DetectsSkewedDramBankTally)
+{
+    // The skewed tally never changes the schedule, so the run drains
+    // normally; only the recount of the DRAM queues can see it.
+    const AuditFault fault = AuditFault::SkewDramBankCount;
+    const AuditedRun r =
+        runAudited(auditedConfig(AuditLevel::EndOfRun), &fault);
+    ASSERT_FALSE(r.failures.empty());
+    bool tallies = false;
+    for (const std::string &f : r.failures)
+        tallies = tallies || f.find("queued/open_hits") != std::string::npos;
+    EXPECT_TRUE(tallies);
+    const AuditedRun clean = runAudited(auditedConfig(AuditLevel::EndOfRun));
+    EXPECT_TRUE(clean.failures.empty());
+    EXPECT_EQ(r.result.cycles, clean.result.cycles);
+}
+
 TEST(Audit, PeriodicChecksAlsoCatchFaults)
 {
     // The same fault must be visible to the in-flight checker, not just

@@ -151,7 +151,7 @@ struct RefPicker
     {}
 
     /** Visit plan for scheduler @p s given the current warp state: the
-     *  warps try_issue would be offered, in order. */
+     *  warps the historical loop would offer, in order. */
     std::vector<int>
     plan(const WarpScheduler &sched, int s) const
     {
@@ -179,20 +179,102 @@ struct RefPicker
     }
 };
 
-/** One churn round: random issues (with backpressure vetoes), random
- *  writebacks, a decode cycle — checking every scheduler decision
- *  against the reference loops. */
+/**
+ * The historical issue rule: offer each planned warp in turn; a warp
+ * fails its try when a structural hazard blocks its opcode, and the
+ * failed try charges that hazard's kind to the slot. @p excluded names
+ * the blocked hazard sets (bit IssueClass); the opcode grouping below is
+ * the historical per-opcode check, written out independently of
+ * issueClassOf().
+ */
+struct RefSlot
+{
+    int warp = kInvalidWarp;    ///< The accepted warp, or none.
+    bool mem_block = false;
+    bool comp_block = false;
+};
+
+RefSlot
+refSlot(const WarpScheduler &sched, const std::vector<int> &visits,
+        IssueClassMask excluded)
+{
+    auto blocked = [excluded](int cls) { return (excluded >> cls & 1) != 0; };
+    RefSlot r;
+    for (const int w : visits) {
+        bool comp = false;
+        bool mem = false;
+        switch (sched.warp(w).ibuf.front().inst->op) {
+          case Opcode::AluInt:
+          case Opcode::AluFp:
+          case Opcode::Mov:
+            comp = blocked(kIssueAlu);
+            break;
+          case Opcode::Sfu:
+            comp = blocked(kIssueSfu);
+            break;
+          case Opcode::LdShared:
+          case Opcode::StShared:
+            mem = blocked(kIssueShared);
+            break;
+          case Opcode::StGlobal:
+            mem = blocked(kIssueGlobalStore);
+            break;
+          case Opcode::LdGlobal:
+            mem = blocked(kIssueGlobalLoad);
+            break;
+          case Opcode::Branch:
+          case Opcode::Exit:
+            break;
+        }
+        if (!comp && !mem) {
+            r.warp = w;
+            return r;
+        }
+        r.comp_block = r.comp_block || comp;
+        r.mem_block = r.mem_block || mem;
+    }
+    return r;
+}
+
+/** Checks one masked pick against the reference: the issued warp, and
+ *  when nothing issues, the hazard kinds SmCore charges the slot. */
+void
+expectPickMatches(WarpScheduler &sched, int s, IssueClassMask excluded,
+                  const RefSlot &want)
+{
+    int got = kInvalidWarp;
+    int offers = 0;
+    const bool issued = sched.pickAndIssue(s, excluded, [&](int w) {
+        got = w;
+        ++offers;
+    });
+    ASSERT_EQ(issued, want.warp != kInvalidWarp) << "mask " << excluded;
+    ASSERT_EQ(got, want.warp) << "mask " << excluded;
+    ASSERT_LE(offers, 1);
+    if (!issued) {
+        const IssueClassMask seen = sched.candidateClasses(s) & excluded;
+        EXPECT_EQ((seen & kMemIssueClasses) != 0, want.mem_block)
+            << "mask " << excluded;
+        EXPECT_EQ((seen & ~kMemIssueClasses) != 0, want.comp_block)
+            << "mask " << excluded;
+    }
+}
+
+/** One churn round: masked picks (every exclusion mask on a copy, one
+ *  random mask for real), random writebacks, a decode cycle — checking
+ *  every scheduler decision against the reference loops. */
 void
 churnAndCheck(bool gto)
 {
     constexpr int kMaxWarps = 16;
     constexpr int kSchedulers = 2;
     constexpr int kIbufEntries = 2;
+    constexpr IssueClassMask kAllMasks = 1u << kNumIssueClasses;
     WarpScheduler sched(kMaxWarps, kSchedulers, kIbufEntries,
                         /*decode_width=*/2, gto);
 
     // A real looped program gives the ibufs genuine register
-    // dependences and an Exit to retire warps through.
+    // dependences, every issue class, and an Exit to retire warps.
     AppDescriptor app = findApp("CONS");
     app.iterations = 6;
     Workload wl(app);
@@ -202,6 +284,7 @@ churnAndCheck(bool gto)
     Lcg rng;
     std::vector<std::uint64_t> outstanding(kMaxWarps, 0);
     RefPicker ref(kMaxWarps, kSchedulers, gto);
+    int blocked_slots = 0;
 
     for (int round = 0; round < 4000; ++round) {
         ASSERT_EQ(sched.anyReady(), refAnyReady(sched, kMaxWarps));
@@ -212,18 +295,22 @@ churnAndCheck(bool gto)
 
         for (int s = 0; s < kSchedulers; ++s) {
             const auto visits = ref.plan(sched, s);
-            std::size_t vi = 0;
-            const bool issued = sched.pickAndIssue(
-                s, [&](int w) -> bool {
-                    // Every offer must match the reference plan.
-                    EXPECT_LT(vi, visits.size());
-                    if (vi >= visits.size())
-                        return false;
-                    EXPECT_EQ(w, visits[vi]);
-                    ++vi;
-                    if (rng.chance(30))
-                        return false;   // backpressure veto: no mutation
-                    // Accepted: emulate SmCore's issue mutations.
+            // Every exclusion mask against the same state, on copies.
+            for (IssueClassMask m = 0; m < kAllMasks; ++m) {
+                WarpScheduler probe = sched;
+                expectPickMatches(probe, s, m, refSlot(sched, visits, m));
+            }
+            // A random mask (each hazard set blocked 30% of the time)
+            // picks for real and drives the churn.
+            IssueClassMask excluded = 0;
+            for (int c = 0; c < kNumIssueClasses; ++c)
+                excluded |= rng.chance(30) ? 1u << c : 0u;
+            const RefSlot want = refSlot(sched, visits, excluded);
+            int got = kInvalidWarp;
+            const bool issued =
+                sched.pickAndIssue(s, excluded, [&](int w) {
+                    got = w;
+                    // Emulate SmCore's issue mutations.
                     WarpScheduler::WarpState &ws = sched.warp(w);
                     const Instruction &inst = *ws.ibuf.front().inst;
                     if (inst.op == Opcode::Exit) {
@@ -236,15 +323,12 @@ churnAndCheck(bool gto)
                         outstanding[static_cast<std::size_t>(w)] |= m;
                     }
                     ws.ibuf.pop();
-                    return true;
                 });
-            if (issued) {
-                ASSERT_GT(vi, std::size_t{0});
-                ref.noteSuccess(s, visits[vi - 1]);
-            } else {
-                // Rejected every offer: the scan must have run dry.
-                ASSERT_EQ(vi, visits.size());
-            }
+            ASSERT_EQ(got, want.warp);
+            if (issued)
+                ref.noteSuccess(s, got);
+            else if (want.mem_block || want.comp_block)
+                ++blocked_slots;
         }
 
         // Random writeback completions (ldst/ALU event hooks).
@@ -260,8 +344,10 @@ churnAndCheck(bool gto)
             break;
     }
     // The churn must retire everything: otherwise the equivalence above
-    // exercised only a truncated prefix of warp lifetimes.
+    // exercised only a truncated prefix of warp lifetimes. And the real
+    // masks must have blocked every candidate of some slots.
     EXPECT_EQ(sched.liveWarps(), 0);
+    EXPECT_GT(blocked_slots, 0);
 }
 
 TEST(WarpSchedulerBitsets, MatchesReferenceLoopsUnderChurnGto)

@@ -46,6 +46,24 @@ TEST(Isa, ToStringRendersOperands)
     inst.dst = 3;
     inst.stream = 1;
     EXPECT_EQ(inst.toString(), "ld.global r3 [stream 1]");
+
+    Instruction alu;
+    alu.op = Opcode::AluFp;
+    alu.dst = 10;
+    alu.src0 = 2;
+    alu.src1 = 63;
+    EXPECT_EQ(alu.toString(), "alu.fp r10, r2, r63");
+
+    Instruction store;
+    store.op = Opcode::StGlobal;
+    store.src0 = 4;
+    store.stream = 0;
+    EXPECT_EQ(store.toString(), "st.global r4 [stream 0]");
+
+    Instruction bra;
+    bra.op = Opcode::Branch;
+    bra.branch_target = 12;
+    EXPECT_EQ(bra.toString(), "bra -> 12");
 }
 
 TEST(Isa, ValidationCatchesBadBranch)

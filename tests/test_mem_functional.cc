@@ -5,6 +5,8 @@
  * round-trip verification gate.
  */
 #include <cstring>
+#include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -126,6 +128,62 @@ TEST(CompressionModel, MemoIsBoundedAndReportsPeak)
     // Eviction is purely a caching concern: every line was still
     // compressed exactly once.
     EXPECT_EQ(m.stats().get("lines_compressed"), 64u);
+}
+
+std::set<std::string>
+keysOf(const StatSet &s)
+{
+    std::set<std::string> keys;
+    for (const auto &[name, value] : s.all())
+        keys.insert(name);
+    return keys;
+}
+
+TEST(CompressionModel, StatKeysAppearWithTheirEvents)
+{
+    BackingStore s([](Addr, std::uint8_t *out) {
+        std::memset(out, 0, kLineSize);     // every line: 1 byte, 1 burst
+    });
+    CompressionModel m(s, Algorithm::Bdi, true, /*memo_cap=*/2);
+    // Unused: no keys at all, so a merged RunResult gains none.
+    EXPECT_TRUE(m.stats().all().empty());
+    EXPECT_TRUE(m.stats().allDists().empty());
+
+    m.lookup(0);
+    m.lookup(kLineSize);
+    m.lookup(0);                // memo hit: no new event
+    const std::set<std::string> traffic = {
+        "compressed_bursts", "compressed_bytes", "lines_compressed",
+        "memo_peak_bytes", "memo_peak_entries", "uncompressed_bursts",
+        "uncompressed_bytes",
+    };
+    StatSet st = m.stats();
+    EXPECT_EQ(keysOf(st), traffic);     // no memo_evictions yet
+    EXPECT_EQ(st.get("lines_compressed"), 2u);
+    EXPECT_EQ(st.get("compressed_bytes"), 2u);
+    EXPECT_EQ(st.get("compressed_bursts"), 2u);
+    EXPECT_EQ(st.get("uncompressed_bytes"), 2u * kLineSize);
+    EXPECT_EQ(st.get("uncompressed_bursts"), 2u * kBurstsPerLine);
+    EXPECT_EQ(st.get("memo_peak_entries"), 2u);
+    EXPECT_GT(st.get("memo_peak_bytes"), 0u);
+    // Peaks are gauges (merging keeps the value), the rest counters.
+    EXPECT_TRUE(st.isGauge("memo_peak_entries"));
+    EXPECT_TRUE(st.isGauge("memo_peak_bytes"));
+    EXPECT_FALSE(st.isGauge("lines_compressed"));
+    ASSERT_EQ(st.allDists().size(), 1u);
+    const Distribution *sizes = st.findDist("compressed_line_bytes");
+    ASSERT_NE(sizes, nullptr);
+    EXPECT_EQ(sizes->count(), 2u);
+    EXPECT_EQ(sizes->sum(), 2u);
+
+    m.lookup(2 * kLineSize);    // third line in a 2-entry memo: evicts
+    st = m.stats();
+    std::set<std::string> evicted = traffic;
+    evicted.insert("memo_evictions");
+    EXPECT_EQ(keysOf(st), evicted);
+    EXPECT_EQ(st.get("memo_evictions"), 1u);
+    EXPECT_FALSE(st.isGauge("memo_evictions"));
+    EXPECT_EQ(st.get("memo_peak_entries"), 2u);
 }
 
 TEST(CompressionModel, MemoEvictsLeastRecentlyUsed)

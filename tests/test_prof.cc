@@ -7,11 +7,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/prof.h"
 #include "gpu/gpu_system.h"
@@ -120,6 +123,66 @@ TEST_F(ProfTest, RecorderFlushMergesIntoGlobalTable)
     // flush() zeroes the recorder: a second flush adds nothing.
     r.flush();
     EXPECT_EQ(prof::snapshot()[0].calls, 2u);
+}
+
+/** The share fields ("12.3%") of a reportTopN(@p n) table, in order. */
+std::vector<double>
+printedShares(int n, std::string *text)
+{
+    std::FILE *f = std::tmpfile();
+    EXPECT_NE(f, nullptr);
+    if (f == nullptr)
+        return {};
+    prof::reportTopN(f, n);
+    std::rewind(f);
+    std::vector<double> shares;
+    char line[256];
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+        text->append(line);
+        const char *pct = std::strchr(line, '%');
+        if (pct == nullptr)
+            continue;
+        const char *start = pct;
+        while (start > line && (std::isdigit(start[-1]) || start[-1] == '.'))
+            --start;
+        shares.push_back(std::strtod(start, nullptr));
+    }
+    std::fclose(f);
+    return shares;
+}
+
+TEST_F(ProfTest, TopNSharesAddUpToTheLoop)
+{
+    // A run's shape: exclusive buckets nested inside the inclusive
+    // loop/cycle, which also holds 70 ns of the loop's own time.
+    prof::Recorder r;
+    r.add(prof::Comp::Sm, prof::Phase::Cycle, 400);
+    r.add(prof::Comp::Sm, prof::Phase::CatchUp, 30);
+    r.add(prof::Comp::Partition, prof::Phase::Cycle, 250);
+    r.add(prof::Comp::Partition, prof::Phase::CatchUp, 20);
+    r.add(prof::Comp::XbarReq, prof::Phase::Cycle, 60);
+    r.add(prof::Comp::XbarReply, prof::Phase::Cycle, 50);
+    r.add(prof::Comp::XbarReply, prof::Phase::CatchUp, 10);
+    r.add(prof::Comp::Wire, prof::Phase::Cycle, 80);
+    r.add(prof::Comp::Loop, prof::Phase::Jump, 30);
+    r.add(prof::Comp::Loop, prof::Phase::Cycle, 1000);
+    r.flush();
+    for (const int n : {1, 3, 8, prof::kBuckets}) {
+        SCOPED_TRACE(n);
+        std::string text;
+        const std::vector<double> shares = printedShares(n, &text);
+        SCOPED_TRACE(text);
+        double sum = 0.0;
+        for (const double v : shares)
+            sum += v;
+        // Each share is rounded to 0.1%.
+        EXPECT_NEAR(sum, 100.0, 0.05 * static_cast<double>(shares.size()));
+        EXPECT_NE(text.find("of 0.000s in loop/cycle"), std::string::npos);
+        EXPECT_NE(text.find("loop       self"), std::string::npos);
+        EXPECT_NE(text.find("  7.0%"), std::string::npos);  // loop self
+        // loop/cycle is the denominator, never a line of its own.
+        EXPECT_EQ(text.find("loop       cycle"), std::string::npos);
+    }
 }
 
 TEST_F(ProfTest, WriteReportEmitsCabaProfV1Schema)
