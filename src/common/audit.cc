@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <climits>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/env.h"
@@ -129,25 +130,76 @@ Audit::checkTrue(const char *where, const char *what, bool ok)
     fail(os.str());
 }
 
+Audit::Tracked *
+Audit::claim(int sm, std::uint64_t id)
+{
+    CABA_CHECK(sm >= 0, "audited request without a source SM");
+    const auto i = static_cast<std::size_t>(sm);
+    if (i >= rings_.size())
+        rings_.resize(i + 1);
+    Ring &r = rings_[i];
+    if (r.base == r.next)
+        r.base = r.next = id;       // empty: the span restarts at id
+    const std::uint64_t lo = std::min(r.base, id);
+    const std::uint64_t hi = std::max(r.next, id + 1);
+    if (hi - lo > r.slots.size()) {
+        // Re-home the live span into a ring at least twice the size.
+        std::size_t cap = std::max<std::size_t>(16, 2 * r.slots.size());
+        while (cap < hi - lo)
+            cap *= 2;
+        std::vector<Tracked> grown(cap);
+        for (std::uint64_t k = r.base; k != r.next; ++k) {
+            const Tracked &t = r.slots[k & (r.slots.size() - 1)];
+            if (t.live)
+                grown[k & (cap - 1)] = t;
+        }
+        r.slots.swap(grown);
+    }
+    Tracked &t = r.slots[id & (r.slots.size() - 1)];
+    if (id >= r.base && id < r.next && t.live)
+        return nullptr;
+    r.base = lo;
+    r.next = hi;
+    t.live = true;
+    ++live_;
+    return &t;
+}
+
+void
+Audit::release(int sm, std::uint64_t id)
+{
+    Ring &r = rings_[static_cast<std::size_t>(sm)];
+    const std::uint64_t mask = r.slots.size() - 1;
+    r.slots[id & mask].live = false;
+    --live_;
+    while (r.base != r.next && !r.slots[r.base & mask].live)
+        ++r.base;
+}
+
 void
 Audit::checkLifecycle(Cycle now, bool at_drain)
 {
     checkEq("lifecycle", "injected == retired + live", injected_,
-            retired_ + static_cast<std::uint64_t>(live_.size()));
+            retired_ + static_cast<std::uint64_t>(live_));
     if (!at_drain)
         return;
-    // Report orphans in key order: live_ is an unordered_map, and the
-    // failure dump must not depend on hash-bucket iteration order.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(live_.size());
-    for (const auto &entry : live_) // lint: order-insensitive — keys sorted below
-        keys.push_back(entry.first);
-    std::sort(keys.begin(), keys.end());
-    for (const std::uint64_t k : keys) {
-        const Tracked &t = live_.at(k);
+    // Report orphans in (id, SM) order, the order of the historical
+    // (id << 8 | SM) key, so the dump does not depend on ring layout.
+    std::vector<std::pair<std::uint64_t, std::size_t>> orphans;
+    orphans.reserve(live_);
+    for (std::size_t sm = 0; sm < rings_.size(); ++sm) {
+        const Ring &r = rings_[sm];
+        for (std::uint64_t id = r.base; id != r.next; ++id)
+            if (r.slots[id & (r.slots.size() - 1)].live)
+                orphans.emplace_back(id, sm);
+    }
+    std::sort(orphans.begin(), orphans.end());
+    for (const auto &[id, sm] : orphans) {
+        const Ring &r = rings_[sm];
+        const Tracked &t = r.slots[id & (r.slots.size() - 1)];
         std::ostringstream os;
-        os << "lifecycle: orphan request (id " << (k >> 8) << ", SM "
-           << (k & 0xff) << ", " << (t.is_write ? "store" : "load")
+        os << "lifecycle: orphan request (id " << id << ", SM " << sm
+           << ", " << (t.is_write ? "store" : "load")
            << " of line 0x" << std::hex << t.line << std::dec
            << ") injected at cycle " << t.injected
            << " still at stage " << reqStageName(t.stage)

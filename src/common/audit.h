@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -81,7 +80,7 @@ const char *reqStageName(ReqStage s);
 /**
  * One audit instance per GpuSystem (parallel sweeps each own one).
  * Components call the on*() lifecycle hooks from their hot paths (cheap:
- * one hash-map operation per request per stage) and implement an
+ * one indexed slot per request per stage) and implement an
  * audit(Audit&, bool at_drain) method holding their invariant checks,
  * driven by GpuSystem::runAudit().
  */
@@ -108,19 +107,18 @@ class Audit
         if (!enabled())
             return;
         ++injected_;
-        Tracked t;
-        t.stage = ReqStage::Injected;
-        t.injected = now;
-        t.line = req.line;
-        t.is_write = req.is_write;
-        const auto [it, fresh] = live_.emplace(key(req), t);
-        (void)it;
-        if (!fresh) {
+        Tracked *t = claim(req.src_sm, req.id);
+        if (t == nullptr) {
             std::ostringstream os;
             os << "lifecycle: duplicate injection of request id " << req.id
                << " from SM " << req.src_sm;
             fail(os.str());
+            return;
         }
+        t->stage = ReqStage::Injected;
+        t->injected = now;
+        t->line = req.line;
+        t->is_write = req.is_write;
     }
 
     /** The request was seen alive at @p stage. */
@@ -130,8 +128,8 @@ class Audit
     {
         if (!enabled())
             return;
-        auto it = live_.find(key(req));
-        if (it == live_.end()) {
+        Tracked *t = find(req.src_sm, req.id);
+        if (t == nullptr) {
             std::ostringstream os;
             os << "lifecycle: request id " << req.id << " from SM "
                << req.src_sm << " reached stage " << reqStageName(stage)
@@ -139,7 +137,7 @@ class Audit
             fail(os.str());
             return;
         }
-        it->second.stage = stage;
+        t->stage = stage;
     }
 
     /** The request left the memory system (reply consumed / store
@@ -150,19 +148,19 @@ class Audit
     {
         if (!enabled())
             return;
-        auto it = live_.find(key(req));
-        if (it == live_.end()) {
+        Tracked *t = find(req.src_sm, req.id);
+        if (t == nullptr) {
             std::ostringstream os;
             os << "lifecycle: request id " << req.id << " from SM "
                << req.src_sm << " retired twice (or never injected)";
             fail(os.str());
             return;
         }
-        live_.erase(it);
+        release(req.src_sm, req.id);
         ++retired_;
     }
 
-    std::size_t liveRequests() const { return live_.size(); }
+    std::size_t liveRequests() const { return live_; }
     std::uint64_t injected() const { return injected_; }
     std::uint64_t retired() const { return retired_; }
 
@@ -185,21 +183,49 @@ class Audit
     struct Tracked
     {
         ReqStage stage = ReqStage::Injected;
+        bool live = false;
+        bool is_write = false;
         Cycle injected = 0;
         Addr line = 0;
-        bool is_write = false;
     };
 
-    /** Ids are a per-SM sequence, so (id, src_sm) is unique system-wide. */
-    template <typename Req>
-    static std::uint64_t
-    key(const Req &req)
+    /**
+     * Lifecycle slots of one SM. Ids are a per-SM sequence, so the live
+     * ones fall in the span [base, next), which maps one-to-one onto
+     * the power-of-two slot array by id & (size - 1). The array doubles
+     * when the span outgrows it; stores are not bounded by MSHRs, so
+     * there is no fixed cap. Slots outside the span are never live.
+     */
+    struct Ring
     {
-        return (req.id << 8) | static_cast<std::uint64_t>(req.src_sm & 0xff);
+        std::vector<Tracked> slots;
+        std::uint64_t base = 0;     ///< Oldest live id (== next: empty).
+        std::uint64_t next = 0;     ///< One past the newest id.
+    };
+
+    /** Live slot of (@p sm, @p id), or nullptr. */
+    Tracked *
+    find(int sm, std::uint64_t id)
+    {
+        const auto i = static_cast<std::size_t>(sm);
+        if (i >= rings_.size())
+            return nullptr;
+        Ring &r = rings_[i];
+        if (id - r.base >= r.next - r.base)     // outside [base, next)
+            return nullptr;
+        Tracked &t = r.slots[id & (r.slots.size() - 1)];
+        return t.live ? &t : nullptr;
     }
 
+    /** Marks (@p sm, @p id) live; nullptr when it already is. */
+    Tracked *claim(int sm, std::uint64_t id);
+
+    /** Frees the live slot of (@p sm, @p id). */
+    void release(int sm, std::uint64_t id);
+
     AuditConfig cfg_;
-    std::unordered_map<std::uint64_t, Tracked> live_;
+    std::vector<Ring> rings_;       ///< By SM id, grown on first inject.
+    std::size_t live_ = 0;
     std::vector<std::string> failures_;
     std::uint64_t injected_ = 0;
     std::uint64_t retired_ = 0;

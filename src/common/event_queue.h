@@ -1,22 +1,21 @@
 /**
  * @file
- * Wake-time tracker for the event-driven run loop: a binary min-heap
- * over a fixed id space [0, n) where each id carries one authoritative
- * wake cycle. schedule() overwrites the id's wake time and pushes a new
- * heap entry; superseded entries stay in the heap and are discarded
- * lazily when they surface (the classic lazy-deletion calendar queue —
- * cheaper than decrease-key for the few dozen components a GpuSystem
- * clocks, and trivially exercisable in isolation by tests).
+ * Wake-time tracker for the event-driven run loop: a flat array over a
+ * fixed id space [0, n) where each id carries one wake cycle, plus a
+ * running minimum over that array. A GpuSystem clocks a few dozen
+ * components, so the minimum is refolded by the per-cycle pass that
+ * already visits every id (beginPass / keep / reschedule / endPass), and
+ * wake() lowers it in O(1).
  *
- * GpuSystem uses it to answer one question in O(1) amortized time:
- * "what is the earliest cycle any sleeping component wants to run?" —
- * the quiescence jump target. Per-id due checks read the flat array.
+ * GpuSystem uses it to answer one question in O(1): "what is the
+ * earliest cycle any component wants to run?" — the quiescence jump
+ * target. Per-id due checks read the flat array.
  */
 #ifndef CABA_COMMON_EVENT_QUEUE_H
 #define CABA_COMMON_EVENT_QUEUE_H
 
+#include <algorithm>
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "common/component.h"
@@ -25,24 +24,26 @@
 
 namespace caba {
 
-/** Min-heap of (wake cycle, component id) with lazy stale deletion. */
+/** Flat per-id wake times with an exact running minimum. */
 class EventQueue
 {
   public:
     explicit EventQueue(int ids = 0) { reset(ids); }
 
-    /** Clears all state and resizes the id space to [0, @p ids). */
+    /** Parks every id and resizes the id space to [0, @p ids). */
     void
     reset(int ids)
     {
         CABA_CHECK(ids >= 0, "negative id space");
         when_.assign(static_cast<std::size_t>(ids), kNoWork);
-        heap_.clear();
+        min_ = kNoWork;
+        fold_ = kNoWork;
+        next_ = ids;
     }
 
     int size() const { return static_cast<int>(when_.size()); }
 
-    /** Authoritative wake time of @p id (kNoWork = never). */
+    /** Wake time of @p id (kNoWork = never). */
     Cycle
     when(int id) const
     {
@@ -52,85 +53,70 @@ class EventQueue
     /** True when @p id wants to run at @p now. */
     bool due(int id, Cycle now) const { return when(id) <= now; }
 
-    /**
-     * (Re)schedules @p id to wake at @p at, superseding any earlier
-     * schedule — later, earlier, or equal are all fine. kNoWork parks
-     * the id without a heap entry.
-     */
+    /** Earliest wake time over all ids (kNoWork when all are parked). */
+    Cycle minTime() const { return min_; }
+
+    /** Ids with a wake time, i.e. not parked (trace introspection). */
+    int
+    awake() const
+    {
+        return static_cast<int>(
+            std::count_if(when_.begin(), when_.end(),
+                          [](Cycle c) { return c != kNoWork; }));
+    }
+
+    /** Moves @p id's wake earlier to @p at; a later @p at is a no-op.
+     *  Allowed inside a pass, before or after the id's visit. */
     void
-    schedule(int id, Cycle at)
+    wake(int id, Cycle at)
+    {
+        Cycle &w = when_[static_cast<std::size_t>(id)];
+        if (at >= w)
+            return;
+        w = at;
+        min_ = std::min(min_, at);
+        if (id < next_)             // already folded this pass
+            fold_ = std::min(fold_, at);
+    }
+
+    // -- pass: visit every id once, in increasing id order, through
+    //    keep() or reschedule(); endPass() publishes the folded minimum.
+
+    void
+    beginPass()
+    {
+        fold_ = kNoWork;
+        next_ = 0;
+    }
+
+    /** Visits @p id without changing its wake time. */
+    void
+    keep(int id)
+    {
+        fold_ = std::min(fold_, when(id));
+        next_ = id + 1;
+    }
+
+    /** Visits @p id and sets its wake time to @p at (kNoWork parks). */
+    void
+    reschedule(int id, Cycle at)
     {
         when_[static_cast<std::size_t>(id)] = at;
-        if (at != kNoWork)
-            heap_.push_back({at, id});
-        siftUp(heap_.size());
+        fold_ = std::min(fold_, at);
+        next_ = id + 1;
     }
 
-    /**
-     * Earliest authoritative wake time over all ids (kNoWork when every
-     * id is parked). Pops superseded entries as a side effect.
-     */
-    Cycle
-    minTime()
+    void
+    endPass()
     {
-        while (!heap_.empty()) {
-            const Entry &top = heap_.front();
-            if (when_[static_cast<std::size_t>(top.id)] == top.at)
-                return top.at;
-            popTop();
-        }
-        return kNoWork;
+        min_ = fold_;
     }
-
-    /** Live heap entries, stale ones included (tests/introspection). */
-    std::size_t heapEntries() const { return heap_.size(); }
 
   private:
-    struct Entry
-    {
-        Cycle at;
-        int id;
-    };
-
-    void
-    siftUp(std::size_t n)
-    {
-        if (n == 0)
-            return;
-        std::size_t i = n - 1;
-        while (i > 0) {
-            const std::size_t parent = (i - 1) / 2;
-            if (heap_[parent].at <= heap_[i].at)
-                break;
-            std::swap(heap_[parent], heap_[i]);
-            i = parent;
-        }
-    }
-
-    void
-    popTop()
-    {
-        heap_.front() = heap_.back();
-        heap_.pop_back();
-        std::size_t i = 0;
-        const std::size_t n = heap_.size();
-        while (true) {
-            const std::size_t l = 2 * i + 1;
-            const std::size_t r = l + 1;
-            std::size_t smallest = i;
-            if (l < n && heap_[l].at < heap_[smallest].at)
-                smallest = l;
-            if (r < n && heap_[r].at < heap_[smallest].at)
-                smallest = r;
-            if (smallest == i)
-                return;
-            std::swap(heap_[i], heap_[smallest]);
-            i = smallest;
-        }
-    }
-
-    std::vector<Cycle> when_;   ///< Authoritative wake per id.
-    std::vector<Entry> heap_;   ///< Lazy min-heap over schedule() calls.
+    std::vector<Cycle> when_;   ///< Wake time per id.
+    Cycle min_ = kNoWork;       ///< min(when_) outside a pass.
+    Cycle fold_ = kNoWork;      ///< min over the ids visited this pass.
+    int next_ = 0;              ///< First id not yet visited this pass.
 };
 
 } // namespace caba

@@ -33,8 +33,10 @@ struct Table
 Table &
 table()
 {
-    static Table t;
-    return t;
+    // Leaked: emit() reads it from atexit, and atexit handlers run
+    // after statics constructed later than their registration die.
+    static Table *t = new Table;
+    return *t;
 }
 
 /** Writes `caba-prof-v1` at exit when CABA_PROF was set at startup —

@@ -14,8 +14,10 @@ struct Table
 Table &
 table()
 {
-    static Table t;
-    return t;
+    // Leaked: prof's atexit report reads it, and atexit handlers run
+    // after statics constructed later than their registration die.
+    static Table *t = new Table;
+    return *t;
 }
 
 } // namespace

@@ -148,6 +148,8 @@ struct EnvActivation
         unsigned mask = kAll;
         if (const char *cats = env::raw("CABA_TRACE_CATEGORIES"))
             mask = maskFromNames(cats);
+        // start() builds registry() first, so the registry is destroyed
+        // after this handler runs (atexit unwinds in reverse order).
         start(path, mask);
         std::atexit([] { stop(); });
     }

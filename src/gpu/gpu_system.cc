@@ -212,7 +212,7 @@ GpuSystem::initEventState()
 {
     eq_.reset(static_cast<int>(clocked_.size()));
     for (std::size_t i = 0; i < clocked_.size(); ++i)
-        eq_.schedule(static_cast<int>(i), now_);
+        eq_.wake(static_cast<int>(i), now_);
     acct_.assign(clocked_.size(), now_);
 }
 
@@ -236,11 +236,10 @@ GpuSystem::wakeForTraffic(std::size_t i)
     // traffic landing at now_ is seen by their cycle(now_ + 1). The
     // crossbars and partitions cycle after the wire phase and must run
     // this very cycle, exactly as they would in the walk-everything
-    // loop. Catch-up must precede the push (see catchUp()).
+    // loop. Catch-up must precede the wake (see catchUp()).
     const Cycle at = i < sms_.size() ? now_ + 1 : now_;
     catchUp(i, at);
-    if (eq_.when(static_cast<int>(i)) > at)
-        eq_.schedule(static_cast<int>(i), at);
+    eq_.wake(static_cast<int>(i), at);
 }
 
 void
@@ -266,9 +265,13 @@ void
 GpuSystem::stepEvent()
 {
     const std::size_t n_sms = sms_.size();
+    // One pass over every component in id order: each is run and
+    // rescheduled or kept, folding the wake minimum eventJump() reads.
     auto run_component = [this](std::size_t i) {
-        if (!eq_.due(static_cast<int>(i), now_))
+        if (!eq_.due(static_cast<int>(i), now_)) {
+            eq_.keep(static_cast<int>(i));
             return;
+        }
         Clocked *c = clocked_[i];
         if (prof_on_) {
             // The wire-phase wake catch-ups are charged to Wire; the
@@ -287,8 +290,9 @@ GpuSystem::stepEvent()
             c->cycle(now_);
         }
         acct_[i] = now_ + 1;
-        eq_.schedule(static_cast<int>(i), c->nextWork(now_ + 1));
+        eq_.reschedule(static_cast<int>(i), c->nextWork(now_ + 1));
     };
+    eq_.beginPass();
     for (std::size_t i = 0; i < n_sms; ++i)
         run_component(i);
     if (prof_on_) {
@@ -301,6 +305,7 @@ GpuSystem::stepEvent()
     }
     for (std::size_t i = n_sms; i < clocked_.size(); ++i)
         run_component(i);
+    eq_.endPass();
     ++now_;
 }
 
@@ -309,7 +314,8 @@ GpuSystem::eventJump()
 {
     // Every component published its next event when it went to sleep,
     // and pushes always re-arm the destination, so min-wake > now_ is
-    // exactly global quiescence.
+    // exactly global quiescence. The busy case (min-wake == now_) is
+    // one compare.
     const Cycle wake = std::min(eq_.minTime(), cfg_.max_cycles);
     if (wake <= now_)
         return;
@@ -443,12 +449,12 @@ GpuSystem::sampleNow() const
 {
     // Counter tracks ride the timeline cadence: eventJump() replays
     // mid-skip samples from frozen state, so the track matches
-    // runReference()'s except the event-queue depth (which measures the
-    // event loop itself and reads 0 there).
+    // runReference()'s except the awake-component count (which measures
+    // the event loop itself and reads 0 there).
     if (trace::on(trace::kCounter)) {
         trace::counter(trace::kCounter, trace::kPidCounter, 0,
-                       "event_queue_depth", now_,
-                       static_cast<std::uint64_t>(eq_.heapEntries()));
+                       "awake_components", now_,
+                       static_cast<std::uint64_t>(eq_.awake()));
         for (std::size_t i = 0; i < sms_.size(); ++i) {
             trace::counter(trace::kCounter, trace::kPidCounter,
                            static_cast<int>(i), "issuable_warps", now_,

@@ -11,7 +11,9 @@ LdstUnit::LdstUnit(int sm_id, const SmConfig &cfg, const CacheConfig &l1_cfg,
                    Hooks *hooks)
     : sm_id_(sm_id), mshr_entries_(cfg.mshr_entries),
       out_queue_(cfg.out_queue), lines_per_cycle_(cfg.lines_per_cycle),
-      hooks_(hooks), l1_(l1_cfg), out_req_(cfg.out_queue)
+      hooks_(hooks), l1_(l1_cfg),
+      mshrs_(static_cast<std::size_t>(cfg.mshr_entries)),
+      out_req_(cfg.out_queue)
 {
     CABA_CHECK(hooks_, "LDST unit needs core hooks");
     loads_.resize(static_cast<std::size_t>(cfg.max_warps) * 8);
@@ -76,21 +78,44 @@ LdstUnit::completeFill(Addr line, int bytes)
 {
     std::vector<Eviction> evicted;
     l1_.insert(line, bytes, false, &evicted);   // L1 is write-evict: clean
-    auto it = mshrs_.find(line);
-    if (it == mshrs_.end())
+    const Mshr *m = mshrs_.find(line);
+    if (m == nullptr)
         return;                                 // e.g. prefetch raced
-    for (int slot : it->second)
-        loadLineDone(slot);
-    mshrs_.erase(it);
+    for (int w = m->head; w >= 0;) {
+        const Waiter done = waiters_[static_cast<std::size_t>(w)];
+        waiters_[static_cast<std::size_t>(w)].next = free_waiter_;
+        free_waiter_ = w;
+        loadLineDone(done.load_slot);
+        w = done.next;
+    }
+    mshrs_.erase(line);
+}
+
+void
+LdstUnit::addWaiter(Mshr &m, int load_slot)
+{
+    int w = free_waiter_;
+    if (w >= 0) {
+        free_waiter_ = waiters_[static_cast<std::size_t>(w)].next;
+        waiters_[static_cast<std::size_t>(w)] = {load_slot, -1};
+    } else {
+        w = static_cast<int>(waiters_.size());
+        waiters_.push_back({load_slot, -1});
+    }
+    if (m.tail >= 0)
+        waiters_[static_cast<std::size_t>(m.tail)].next = w;
+    else
+        m.head = w;
+    m.tail = w;
 }
 
 bool
 LdstUnit::issuePrefetch(Addr line, Cycle now)
 {
-    if (!l1_.contains(line) && !mshrs_.count(line) &&
+    if (!l1_.contains(line) && mshrs_.find(line) == nullptr &&
         static_cast<int>(mshrs_.size()) < mshr_entries_ &&
         static_cast<int>(out_req_.size()) < out_queue_) {
-        mshrs_[line] = {};      // fill with no waiters
+        mshrs_.insert(line);            // fill with no waiters
         MemRequest req;
         req.id = hooks_->allocReqId();
         req.line = line;
@@ -120,14 +145,14 @@ LdstUnit::drain(Cycle now)
             // Probe without counting first so replayed lines do not
             // inflate hit/miss statistics or churn LRU state.
             if (!l1_.contains(line)) {
-                auto it = mshrs_.find(line);
-                if (it != mshrs_.end()) {
+                Mshr *m = mshrs_.find(line);
+                if (m != nullptr) {
                     if (trace::on(trace::kCache)) {
                         trace::instant(trace::kCache, trace::kPidCache,
                                        sm_id_, "l1_miss", now, "line", line);
                     }
                     l1_.access(line);   // counts the miss
-                    it->second.push_back(st_.load_slot);
+                    addWaiter(*m, st_.load_slot);
                     ++l1_load_misses_;
                     ++mshr_merges_;
                     ++st_.cursor;
@@ -145,7 +170,7 @@ LdstUnit::drain(Cycle now)
                 }
                 l1_.access(line);       // counts the miss
                 ++l1_load_misses_;
-                mshrs_[line] = {st_.load_slot};
+                addWaiter(mshrs_.insert(line), st_.load_slot);
                 MemRequest req;
                 req.id = hooks_->allocReqId();
                 req.line = line;

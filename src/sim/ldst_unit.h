@@ -11,11 +11,11 @@
 #define CABA_SIM_LDST_UNIT_H
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/audit.h"
 #include "common/component.h"
+#include "common/flat_map.h"
 #include "mem/cache.h"
 #include "mem/request.h"
 #include "workloads/kernel.h"
@@ -154,7 +154,28 @@ class LdstUnit
     Cache l1_;
     std::vector<PendingLoad> loads_;
     std::vector<int> free_load_slots_;
-    std::unordered_map<Addr, std::vector<int>> mshrs_;
+    /** One load slot waiting on an MSHR (a node of waiters_). */
+    struct Waiter
+    {
+        int load_slot;
+        int next;       ///< Next waiter of the same MSHR, or -1.
+    };
+
+    /** An MSHR's waiters in merge order, as a list in waiters_. */
+    struct Mshr
+    {
+        int head = -1;
+        int tail = -1;
+    };
+
+    /** Appends @p load_slot to @p m's waiters. */
+    void addWaiter(Mshr &m, int load_slot);
+
+    /** MSHRs: line -> waiters. Sized for mshr_entries on the first
+     *  miss; list nodes are recycled, so a miss allocates nothing. */
+    FlatMap<Mshr> mshrs_;
+    std::vector<Waiter> waiters_;
+    int free_waiter_ = -1;      ///< Head of the free list in waiters_.
     State st_;
     Channel<MemRequest> out_req_;
 

@@ -1,17 +1,39 @@
 #include "workloads/workload.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdio>
 
 #include "common/log.h"
 #include "common/rng.h"
 
 namespace caba {
 
+namespace {
+
+/** Loop trips for @p iterations at @p scale: at least one, with a
+ *  once-per-process stderr note when the floor lifts the request. */
+int
+scaledIterations(const AppDescriptor &app, double scale)
+{
+    const long requested = std::lround(app.iterations * scale);
+    if (requested >= 1)
+        return static_cast<int>(requested);
+    static std::atomic<bool> warned{false};
+    if (!warned.exchange(true)) {
+        std::fprintf(stderr,
+                     "note: %s: %d loop trips x scale %g rounds to %ld; "
+                     "running 1 (reported once per process)\n",
+                     app.name.c_str(), app.iterations, scale, requested);
+    }
+    return 1;
+}
+
+} // namespace
+
 Workload::Workload(AppDescriptor app, double scale, std::uint64_t seed)
-    : app_(std::move(app)),
-      iterations_(std::max(1, static_cast<int>(
-          std::lround(app_.iterations * scale)))),
+    : app_(std::move(app)), iterations_(scaledIterations(app_, scale)),
       seed_(seed)
 {
     buildProgram();

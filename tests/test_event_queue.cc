@@ -1,17 +1,19 @@
 /**
  * @file
- * Event-driven loop foundations: the lazy-deletion calendar queue that
- * tracks per-component wake times, and the warp scheduler's
- * struct-of-arrays selection bitsets, which must agree with the
- * historical per-warp reference loops under arbitrary state churn.
+ * Event-driven loop foundations: the flat wake list that tracks
+ * per-component wake times and their running minimum, and the warp
+ * scheduler's struct-of-arrays selection bitsets, which must agree with
+ * the historical per-warp reference loops under arbitrary state churn.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "common/component.h"
 #include "common/event_queue.h"
+#include "common/rng.h"
 #include "sim/warp_scheduler.h"
 #include "workloads/workload.h"
 
@@ -19,6 +21,17 @@ namespace caba {
 namespace {
 
 // ---------------------------------------------------------------- queue
+
+/** Brute-force minimum over the flat array: what minTime() must equal
+ *  outside a pass. */
+Cycle
+bruteMin(const EventQueue &eq)
+{
+    Cycle m = kNoWork;
+    for (int id = 0; id < eq.size(); ++id)
+        m = std::min(m, eq.when(id));
+    return m;
+}
 
 TEST(EventQueue, StartsParked)
 {
@@ -29,65 +42,138 @@ TEST(EventQueue, StartsParked)
         EXPECT_FALSE(eq.due(id, 1'000'000));
     }
     EXPECT_EQ(eq.minTime(), kNoWork);
+    EXPECT_EQ(eq.awake(), 0);
 }
 
-TEST(EventQueue, MinTimeTracksEarliestSchedule)
+TEST(EventQueue, MinTimeTracksEarliestWake)
 {
     EventQueue eq(3);
-    eq.schedule(0, 50);
-    eq.schedule(1, 10);
-    eq.schedule(2, 30);
+    eq.wake(0, 50);
+    eq.wake(1, 10);
+    eq.wake(2, 30);
     EXPECT_EQ(eq.minTime(), Cycle{10});
     EXPECT_TRUE(eq.due(1, 10));
     EXPECT_FALSE(eq.due(0, 10));
+    // wake() only ever moves a time earlier.
+    eq.wake(1, 40);
+    EXPECT_EQ(eq.when(1), Cycle{10});
+    EXPECT_EQ(eq.awake(), 3);
 }
 
 TEST(EventQueue, RescheduleSupersedesInBothDirections)
 {
     EventQueue eq(2);
-    eq.schedule(0, 100);
-    eq.schedule(1, 200);
-    // Earlier reschedule wins immediately.
-    eq.schedule(0, 5);
+    eq.wake(0, 100);
+    eq.wake(1, 200);
+    // Earlier reschedule wins.
+    eq.beginPass();
+    eq.reschedule(0, 5);
+    eq.keep(1);
+    eq.endPass();
     EXPECT_EQ(eq.minTime(), Cycle{5});
     // Later reschedule (the requeue a busy component performs every
-    // cycle) leaves a stale heap entry behind; minTime must skip it.
-    eq.schedule(0, 300);
+    // cycle) raises the minimum to the next earliest id.
+    eq.beginPass();
+    eq.reschedule(0, 300);
+    eq.keep(1);
+    eq.endPass();
     EXPECT_EQ(eq.minTime(), Cycle{200});
     EXPECT_EQ(eq.when(0), Cycle{300});
 }
 
-TEST(EventQueue, StaleEntriesAreLazilyDiscarded)
+TEST(EventQueue, WakeInsidePassFoldsVisitedAndUnvisitedIds)
 {
-    EventQueue eq(1);
-    for (Cycle c = 1; c <= 64; ++c)
-        eq.schedule(0, c);
-    // 64 heap entries, one authoritative time.
-    EXPECT_EQ(eq.heapEntries(), std::size_t{64});
-    EXPECT_EQ(eq.minTime(), Cycle{64});
-    // All 63 superseded entries were popped on the way to the answer.
-    EXPECT_EQ(eq.heapEntries(), std::size_t{1});
+    EventQueue eq(3);
+    eq.wake(0, 10);
+    eq.wake(1, 10);
+    eq.wake(2, 10);
+    eq.beginPass();
+    eq.reschedule(0, kNoWork);
+    // The wire phase: id 0 (already visited) and id 2 (not yet) wake.
+    eq.wake(0, 11);
+    eq.wake(2, 10);
+    eq.reschedule(1, 50);
+    eq.reschedule(2, 40);   // id 2 ran and went back to sleep
+    eq.endPass();
+    EXPECT_EQ(eq.minTime(), Cycle{11});
+    EXPECT_EQ(eq.minTime(), bruteMin(eq));
 }
 
 TEST(EventQueue, ParkingRemovesFromMin)
 {
     EventQueue eq(2);
-    eq.schedule(0, 10);
-    eq.schedule(1, 20);
-    eq.schedule(0, kNoWork);
+    eq.wake(0, 10);
+    eq.wake(1, 20);
+    eq.beginPass();
+    eq.reschedule(0, kNoWork);
+    eq.keep(1);
+    eq.endPass();
     EXPECT_EQ(eq.minTime(), Cycle{20});
-    eq.schedule(1, kNoWork);
+    eq.beginPass();
+    eq.keep(0);
+    eq.reschedule(1, kNoWork);
+    eq.endPass();
     EXPECT_EQ(eq.minTime(), kNoWork);
+    EXPECT_EQ(eq.awake(), 0);
 }
 
 TEST(EventQueue, ResetClearsEverything)
 {
     EventQueue eq(2);
-    eq.schedule(0, 1);
+    eq.wake(0, 1);
     eq.reset(3);
     EXPECT_EQ(eq.size(), 3);
     EXPECT_EQ(eq.minTime(), kNoWork);
-    EXPECT_EQ(eq.heapEntries(), std::size_t{0});
+    EXPECT_EQ(eq.awake(), 0);
+}
+
+// Seeded churn in the shape of GpuSystem::stepEvent(): passes that run
+// due ids and reschedule them (later, parked, or unchanged), with wakes
+// landing mid-pass on visited and unvisited ids, plus wakes between
+// passes. After every operation the running minimum must equal the
+// brute-force minimum over the flat array.
+TEST(EventQueue, RunningMinMatchesBruteForceUnderChurn)
+{
+    for (int ids : {1, 2, 5, 24, 64}) {
+        Rng rng(0xE0E0u + static_cast<std::uint64_t>(ids));
+        EventQueue eq(ids);
+        Cycle now = 0;
+        for (int id = 0; id < ids; ++id)
+            eq.wake(id, now + rng.below(4));
+        ASSERT_EQ(eq.minTime(), bruteMin(eq));
+        auto random_wake = [&]() {
+            const int id = static_cast<int>(rng.below(ids));
+            eq.wake(id, now + rng.below(3));
+        };
+        for (int step = 0; step < 4000; ++step) {
+            if (rng.chance(0.2)) {
+                random_wake();
+                ASSERT_EQ(eq.minTime(), bruteMin(eq)) << "step " << step;
+                continue;
+            }
+            const int mid = static_cast<int>(rng.below(ids + 1));
+            eq.beginPass();
+            for (int id = 0; id < ids; ++id) {
+                if (id == mid) {
+                    for (int k = static_cast<int>(rng.below(3)); k > 0; --k)
+                        random_wake();
+                }
+                if (!eq.due(id, now) || rng.chance(0.1)) {
+                    eq.keep(id);
+                    continue;
+                }
+                const std::uint64_t r = rng.below(10);
+                const Cycle at = r == 0 ? kNoWork
+                    : r < 7 ? now + 1 : now + 1 + rng.below(50);
+                eq.reschedule(id, at);
+            }
+            eq.endPass();
+            ASSERT_EQ(eq.minTime(), bruteMin(eq)) << "step " << step;
+            // Jump like eventJump(): to the minimum, or one cycle on.
+            now = eq.minTime() == kNoWork ? now + 1
+                                          : std::max(now + 1, eq.minTime());
+        }
+    }
 }
 
 // ------------------------------------------------- scoreboard bitsets

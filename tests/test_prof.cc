@@ -262,6 +262,35 @@ TEST_F(ProfTest, RunResultBitIdenticalProfilerOnOff)
     std::remove(path.c_str());
 }
 
+// A simulating process run with CABA_PROF set writes its report from an
+// atexit handler, after static destructors have begun: everything the
+// report reads must still be alive then (under ASan a use-after-free
+// aborts the child, so this test fails on a nonzero exit status).
+TEST(ProfExit, SimulatingProcessWritesReportAtExit)
+{
+    const std::string path = testing::TempDir() + "caba_prof_exit.json";
+    std::remove(path.c_str());
+    const std::string cmd = "CABA_PROF='" + path + "' '" CABA_CLI_PATH
+                            "' --app PVC --design caba --scale 0.05"
+                            " > /dev/null 2>&1";
+    ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+    minijson::Value doc;
+    ASSERT_TRUE(minijson::parse(readFile(path), &doc)) << path;
+    EXPECT_EQ(doc.find("schema")->string, "caba-prof-v1");
+    double calls = 0;
+    for (const minijson::Value &e : doc.find("entries")->array)
+        calls += e.find("calls")->number;
+    EXPECT_GT(calls, 0.0);
+    // The harness scopes the run recorded ("build", "run") survive
+    // until the report is written.
+    const minijson::Value *self = doc.find("self_profile");
+    ASSERT_NE(self, nullptr);
+    ASSERT_NE(self->find("build"), nullptr);
+    ASSERT_NE(self->find("run"), nullptr);
+    EXPECT_GT(self->find("run")->number, 0.0);
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------- taxonomy
 
 std::uint64_t

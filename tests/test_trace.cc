@@ -200,7 +200,7 @@ TEST_F(TraceTest, CounterTracksEmitOnTimelineCadence)
         ASSERT_NE(args->find("value"), nullptr);
         names.insert(ev.find("name")->string);
     }
-    EXPECT_TRUE(names.count("event_queue_depth"));
+    EXPECT_TRUE(names.count("awake_components"));
     EXPECT_TRUE(names.count("issuable_warps"));
     EXPECT_TRUE(names.count("dram_read_queue"));
     std::remove(path.c_str());

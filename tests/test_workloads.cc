@@ -6,6 +6,7 @@
  */
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -205,6 +206,25 @@ TEST(Workload, OutputLinesAreCompressible)
             getCodec(Algorithm::Bdi).compress(line).size());
     }
     EXPECT_LT(static_cast<double>(bytes) / n, 0.8 * kLineSize);
+}
+
+TEST(Workload, ScaleClampRunsOneTripAndNotesItOnce)
+{
+    // No other test in this binary scales an app below one trip, so
+    // this is the process's first clamp.
+    testing::internal::CaptureStderr();
+    const Workload pvc(findApp("PVC"), 0.001);
+    const Workload cons(findApp("CONS"), 0.001);
+    const Workload kept(findApp("PVC"), 0.5);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(pvc.iterations(0), 1);
+    EXPECT_EQ(cons.iterations(0), 1);
+    EXPECT_EQ(kept.iterations(0), 8);
+    EXPECT_NE(err.find("PVC: 16 loop trips x scale 0.001 rounds to 0; "
+                       "running 1"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
 }
 
 } // namespace
